@@ -2,8 +2,7 @@
 
 The timed loop covers exactly the streaming work: pushing a frame into the
 correlator (downsampling, similarity, correlation) and draining emissions.
-Inputs are prepared up front; kernels are warmed first so JIT compilation
-never lands in the measurement.
+Inputs are prepared up front.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .correlator import IscuConfig, StreamCorrelator
 from .geometry import BoundingBox, BoxOrigin, FrameDetections, FrameMeta, ScoredBox
 from .similarity import GrayFrame
@@ -22,7 +20,6 @@ from .similarity import GrayFrame
 
 @dataclass(frozen=True)
 class BenchResult:
-    backend: str
     n_frames: int
     mpt_ms: float
     max_ms: float
@@ -83,7 +80,6 @@ def bench_correlator(
 ) -> BenchResult:
     """Time push_frame/flush over the detection sequence, cycling the pool."""
     cfg = cfg or IscuConfig()
-    kernels.warmup()
     pool_n = len(frame_pool)
 
     warm = StreamCorrelator(cfg)
@@ -104,22 +100,8 @@ def bench_correlator(
 
     n = len(detections)
     return BenchResult(
-        backend=kernels.active_backend(),
         n_frames=n,
         mpt_ms=1000.0 * total / n,
         max_ms=1000.0 * max(per_push),
         total_s=total,
     )
-
-
-def compare_backends(
-    frame_pool: list[GrayFrame],
-    detections: list[FrameDetections],
-    cfg: IscuConfig | None = None,
-) -> list[BenchResult]:
-    """Run the same benchmark on every available kernel backend."""
-    results = []
-    for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
-            results.append(bench_correlator(frame_pool, detections, cfg))
-    return results

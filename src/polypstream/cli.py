@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .benchmark import bench_correlator, compare_backends, make_bench_detections, make_bench_frames
+from .benchmark import bench_correlator, make_bench_detections, make_bench_frames
 from .config import build_run_config, derive_sweep_config, parse_config_file
 from .correlator import process_sequence
 from .errors import InputError
@@ -82,6 +82,16 @@ def _parse_size(text: str) -> tuple[int, int]:
     if w <= 0 or h <= 0:
         raise InputError(f"frame size must be positive, got {text!r}")
     return w, h
+
+
+def _iou_cut(text: str) -> float:
+    """argparse type for --iou-cut: matching keeps pairs with IoU above the
+    cut, so a cut below 0 matches disjoint boxes and one of 1 or more never
+    matches."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
 
 
 def _load_with_context(path: str, loader, *load_args, **load_kwargs):
@@ -271,24 +281,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             dets = make_bench_detections(w, h, len(frames))
         pool = frames
     else:
+        if args.synthetic_frames < 1:
+            raise InputError(f"--synthetic-frames must be >= 1, got {args.synthetic_frames}")
         w, h = _parse_size(args.frame_size)
         pool = make_bench_frames(w, h, seed=args.seed)
         dets = make_bench_detections(w, h, args.synthetic_frames)
 
-    if args.compare_backends:
-        results = compare_backends(pool, dets, rc.iscu)
-    else:
-        results = [bench_correlator(pool, dets, rc.iscu)]
-
-    payload = {"frame_size": f"{w}x{h}", "results": []}
-    for r in results:
-        print(f"[backend = {r.backend}]")
-        print(f"n_frames = {r.n_frames}")
-        print(f"mpt_ms = {r.mpt_ms:.4f}")
-        print(f"max_ms = {r.max_ms:.4f}")
-        payload["results"].append(dataclasses.asdict(r))
-    if len(results) == 2 and results[1].mpt_ms > 0:
-        print(f"speedup = {results[1].mpt_ms / results[0].mpt_ms:.2f}")
+    result = bench_correlator(pool, dets, rc.iscu)
+    print(f"n_frames = {result.n_frames}")
+    print(f"mpt_ms = {result.mpt_ms:.4f}")
+    print(f"max_ms = {result.max_ms:.4f}")
+    payload = {"frame_size": f"{w}x{h}", "results": [dataclasses.asdict(result)]}
     if args.json:
         _write_json(args.json, payload)
     return 0
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", nargs="+", required=True)
     p.add_argument("--num-frames", nargs="+", type=int, default=None)
     p.add_argument("--frame-size", help="WxH used to clip records (inferred when absent)")
-    p.add_argument("--iou-cut", type=float, default=0.5)
+    p.add_argument("--iou-cut", type=_iou_cut, default=0.5)
     p.add_argument("--json", help="also write the report as JSON ('-' for stdout)")
     p.set_defaults(func=_cmd_eval)
 
@@ -370,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic-frames", type=int, default=1000)
     p.add_argument("--frame-size", default="1280x1080")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--compare-backends", action="store_true")
     p.add_argument("--json")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_bench)
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--iou-cut", type=float, default=0.5)
+    p.add_argument("--iou-cut", type=_iou_cut, default=0.5)
     p.add_argument("--json")
     _add_config_flags(p, exclude=("half_window",))
     p.set_defaults(func=_cmd_sweep)

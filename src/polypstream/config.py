@@ -9,7 +9,7 @@ quorum 3, fill IoU 0.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -144,12 +144,9 @@ def derive_sweep_config(base: IscuConfig, half_window: int) -> IscuConfig:
     """Config for one sweep point: quorums are clamped so they stay within
     the smaller neighbor count."""
     full = 2 * half_window
-    return IscuConfig(
+    return replace(
+        base,
         half_window=half_window,
-        similarity_threshold=base.similarity_threshold,
-        confidence_gate=base.confidence_gate,
         fc_quorum=min(base.fc_quorum, full),
         fill_quorum=min(base.fill_quorum, full),
-        fill_iou=base.fill_iou,
-        ssim_params=base.ssim_params,
     )

@@ -1,37 +1,18 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels: luma, area downsampling and similarity statistics.
 
-All kernels accumulate in exact integer arithmetic so the two backends
-produce bit-identical results (the windowed-similarity mean is the one
-exception: per-window values are identical, but the two backends sum them
-in different orders, so totals can differ at ~1e-15 relative).
-
-Backend selection: the environment variable ``POLYPSTREAM_BACKEND`` may be
-``auto`` (default: numba when importable), ``numba``, or ``numpy``.
-``use_backend()`` switches temporarily, e.g. for benchmarking both paths.
+One numpy implementation per kernel. Luma, downsampling and the global
+moment sums use exact integer arithmetic, so their results do not depend on
+the platform. The windowed similarity sums its integer window moments
+exactly and only then forms each window's value in floating point.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _luma_np(rgb: np.ndarray) -> np.ndarray:
+def luma(rgb: np.ndarray) -> np.ndarray:
+    """Rec.601 luma of an (h, w, 3) uint8 raster, rounded half up."""
     # Rec.601 integer weights; +500 implements round-half-up after /1000.
     r = rgb[:, :, 0].astype(np.uint32)
     g = rgb[:, :, 1].astype(np.uint32)
@@ -56,7 +37,12 @@ def _axis_fine_sums(arr: np.ndarray, target: int) -> np.ndarray:
     return prefix[..., 1:] - prefix[..., :-1]
 
 
-def _box_downsample_np(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
+def box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
+    """Exact area-average resample of an (h, w) uint8 image to (th, tw).
+
+    Fractional source pixels are weighted by coverage; the final value is
+    rounded half up. Pure integer arithmetic throughout.
+    """
     h, w = gray.shape
     if w % tw == 0 and h % th == 0:
         fx, fy = w // tw, h // th
@@ -72,7 +58,8 @@ def _box_downsample_np(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
     return ((2 * tot + den) // (2 * den)).astype(np.uint8)
 
 
-def _ssim_stats_np(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
+def ssim_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
+    """Global integer moment sums (Sx, Sy, Sxx, Syy, Sxy) of two uint8 images."""
     a = x.astype(np.int64, copy=False).ravel()
     b = y.astype(np.int64, copy=False).ravel()
     return (
@@ -91,9 +78,10 @@ def _integral(img64: np.ndarray) -> np.ndarray:
     return out
 
 
-def _windowed_ssim_np(
+def windowed_ssim(
     x: np.ndarray, y: np.ndarray, win: int, stride: int, b1: float, b2: float, b3: float
 ) -> tuple[float, int]:
+    """Sum and count of per-window structural similarity values."""
     h, w = x.shape
     a = x.astype(np.int64)
     b = y.astype(np.int64)
@@ -123,252 +111,3 @@ def _windowed_ssim_np(
     stru = (cxy + b3) / (sdx * sdy + b3)
     vals = lum * con * stru
     return float(vals.sum()), int(vals.size)
-
-
-_NUMPY_IMPL = {
-    "luma": _luma_np,
-    "box_downsample": _box_downsample_np,
-    "ssim_stats": _ssim_stats_np,
-    "windowed_ssim": _windowed_ssim_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _luma_nb(rgb):  # pragma: no cover - exercised via dispatch
-        h, w = rgb.shape[0], rgb.shape[1]
-        out = np.empty((h, w), np.uint8)
-        for i in range(h):
-            for j in range(w):
-                v = (
-                    299 * np.uint32(rgb[i, j, 0])
-                    + 587 * np.uint32(rgb[i, j, 1])
-                    + 114 * np.uint32(rgb[i, j, 2])
-                    + 500
-                ) // 1000
-                out[i, j] = np.uint8(v)
-        return out
-
-    @njit(cache=True)
-    def _box_downsample_div_nb(gray, tw, th):  # pragma: no cover
-        h, w = gray.shape
-        fx = w // tw
-        fy = h // th
-        mid = np.empty((h, tw), np.int64)
-        for i in range(h):
-            for j in range(tw):
-                acc = np.int64(0)
-                base = j * fx
-                for k in range(fx):
-                    acc += np.int64(gray[i, base + k])
-                mid[i, j] = acc
-        den = np.int64(fx) * np.int64(fy)
-        out = np.empty((th, tw), np.uint8)
-        for ii in range(th):
-            base = ii * fy
-            for j in range(tw):
-                acc = np.int64(0)
-                for r in range(fy):
-                    acc += mid[base + r, j]
-                out[ii, j] = np.uint8((2 * acc + den) // (2 * den))
-        return out
-
-    @njit(cache=True)
-    def _box_downsample_nb(gray, tw, th):  # pragma: no cover
-        h, w = gray.shape
-        if w % tw == 0 and h % th == 0:
-            return _box_downsample_div_nb(gray, tw, th)
-        mid = np.zeros((h, tw), np.int64)
-        for i in range(h):
-            for j in range(tw):
-                a = j * w
-                bnd = a + w
-                k0 = a // tw
-                k1 = (bnd + tw - 1) // tw
-                acc = np.int64(0)
-                for k in range(k0, k1):
-                    lo = k * tw
-                    ov = min(bnd, lo + tw) - max(a, lo)
-                    acc += np.int64(gray[i, k]) * ov
-                mid[i, j] = acc
-        tot = np.zeros((th, tw), np.int64)
-        for ii in range(th):
-            a = ii * h
-            bnd = a + h
-            r0 = a // th
-            r1 = (bnd + th - 1) // th
-            for j in range(tw):
-                acc = np.int64(0)
-                for r in range(r0, r1):
-                    lo = r * th
-                    ov = min(bnd, lo + th) - max(a, lo)
-                    acc += mid[r, j] * ov
-                tot[ii, j] = acc
-        den = np.int64(w) * np.int64(h)
-        out = np.empty((th, tw), np.uint8)
-        for ii in range(th):
-            for j in range(tw):
-                out[ii, j] = np.uint8((2 * tot[ii, j] + den) // (2 * den))
-        return out
-
-    @njit(cache=True)
-    def _ssim_stats_nb(x, y):  # pragma: no cover
-        h, w = x.shape
-        sx = np.int64(0)
-        sy = np.int64(0)
-        sxx = np.int64(0)
-        syy = np.int64(0)
-        sxy = np.int64(0)
-        for i in range(h):
-            for j in range(w):
-                a = np.int64(x[i, j])
-                b = np.int64(y[i, j])
-                sx += a
-                sy += b
-                sxx += a * a
-                syy += b * b
-                sxy += a * b
-        return sx, sy, sxx, syy, sxy
-
-    @njit(cache=True)
-    def _windowed_ssim_nb(x, y, win, stride, b1, b2, b3):  # pragma: no cover
-        h, w = x.shape
-        n = float(win * win)
-        total = 0.0
-        count = 0
-        for r in range(0, h - win + 1, stride):
-            for c in range(0, w - win + 1, stride):
-                sx = np.int64(0)
-                sy = np.int64(0)
-                sxx = np.int64(0)
-                syy = np.int64(0)
-                sxy = np.int64(0)
-                for i in range(r, r + win):
-                    for j in range(c, c + win):
-                        a = np.int64(x[i, j])
-                        b = np.int64(y[i, j])
-                        sx += a
-                        sy += b
-                        sxx += a * a
-                        syy += b * b
-                        sxy += a * b
-                mx = sx / n
-                my = sy / n
-                vx = max(sxx / n - mx * mx, 0.0)
-                vy = max(syy / n - my * my, 0.0)
-                cxy = sxy / n - mx * my
-                sdx = math.sqrt(vx)
-                sdy = math.sqrt(vy)
-                lum = (2.0 * mx * my + b1) / (mx * mx + my * my + b1)
-                con = (2.0 * sdx * sdy + b2) / (vx + vy + b2)
-                stru = (cxy + b3) / (sdx * sdy + b3)
-                total += lum * con * stru
-                count += 1
-        return total, count
-
-    def _ssim_stats_nb_wrap(x, y):
-        sx, sy, sxx, syy, sxy = _ssim_stats_nb(x, y)
-        return int(sx), int(sy), int(sxx), int(syy), int(sxy)
-
-    def _windowed_ssim_nb_wrap(x, y, win, stride, b1, b2, b3):
-        total, count = _windowed_ssim_nb(x, y, win, stride, b1, b2, b3)
-        return float(total), int(count)
-
-    _NUMBA_IMPL = {
-        "luma": _luma_nb,
-        "box_downsample": lambda g, tw, th: _box_downsample_nb(g, tw, th),
-        "ssim_stats": _ssim_stats_nb_wrap,
-        "windowed_ssim": _windowed_ssim_nb_wrap,
-    }
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def _resolve(requested: str) -> str:
-    requested = requested.lower().strip()
-    if requested in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("POLYPSTREAM_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    raise RuntimeError(f"unknown POLYPSTREAM_BACKEND value {requested!r}")
-
-
-_active = _resolve(os.environ.get("POLYPSTREAM_BACKEND", "auto"))
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    _active = _resolve(name)
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily switch kernel backend (used by the benchmark CLI)."""
-    global _active
-    previous = _active
-    set_backend(name)
-    try:
-        yield
-    finally:
-        _active = previous
-
-
-def _impl(name: str):
-    table = _NUMBA_IMPL if _active == "numba" else _NUMPY_IMPL
-    return table[name]
-
-
-def luma(rgb: np.ndarray) -> np.ndarray:
-    """Rec.601 luma of an (h, w, 3) uint8 raster, rounded half up."""
-    return _impl("luma")(rgb)
-
-
-def box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
-    """Exact area-average resample of an (h, w) uint8 image to (th, tw).
-
-    Fractional source pixels are weighted by coverage; the final value is
-    rounded half up. Pure integer arithmetic, so the result is identical
-    on every backend and platform.
-    """
-    return _impl("box_downsample")(gray, tw, th)
-
-
-def ssim_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
-    """Global integer moment sums (Sx, Sy, Sxx, Syy, Sxy) of two uint8 images."""
-    return _impl("ssim_stats")(x, y)
-
-
-def windowed_ssim(
-    x: np.ndarray, y: np.ndarray, win: int, stride: int, b1: float, b2: float, b3: float
-) -> tuple[float, int]:
-    """Sum and count of per-window structural similarity values."""
-    return _impl("windowed_ssim")(x, y, win, stride, b1, b2, b3)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed runs exclude compile cost."""
-    rgb = np.zeros((8, 8, 3), dtype=np.uint8)
-    g = luma(rgb)
-    box_downsample(g, 4, 4)
-    ssim_stats(g, g)
-    windowed_ssim(g, g, 4, 2, 6.5025, 58.5225, 29.26125)

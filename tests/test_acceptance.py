@@ -403,7 +403,7 @@ def test_criterion_8_timing_budget(tmp_path):
         8,
         ok,
         f"mean {mpt_ms:.3f} ms/frame over {result['n_frames']} frames at 1280x1080 "
-        f"({result['backend']} backend; target <= 2 ms"
+        f"(target <= 2 ms"
         f"{' met' if mpt_ms <= 2.0 else ' MISSED'}, hard limit 5 ms)",
     )
 

@@ -291,20 +291,11 @@ class TestBenchCommand:
         assert data["results"][0]["n_frames"] == 40
         assert data["results"][0]["mpt_ms"] > 0
 
-    def test_compare_backends(self, capsys):
-        code = run_cli(
-            [
-                "bench",
-                "--synthetic-frames",
-                "24",
-                "--frame-size",
-                "160x120",
-                "--compare-backends",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("[backend =") >= 1
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_synthetic_frames_exit_1(self, count, capsys):
+        code = run_cli(["bench", "--synthetic-frames", count, "--frame-size", "160x120"])
+        assert code == 1
+        assert "--synthetic-frames" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -376,6 +367,23 @@ class TestSweepCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("cut", ["-1", "1"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_iou_cut_out_of_range_exit_1(self, tmp_path, capsys, command, cut):
+        root, _ = make_scenario_dir(tmp_path, seed=4, n_frames=10)
+        args = [
+            "--detections",
+            str(root / "detections.txt"),
+            "--ground-truth",
+            str(root / "groundtruth.txt"),
+            "--iou-cut",
+            cut,
+        ]
+        if command == "sweep":
+            args += ["--half-window", "1", "--frames", str(root / "frames")]
+        assert run_cli([command, *args]) == 1
+        assert "--iou-cut" in capsys.readouterr().err
+
     def test_missing_detection_file_exit_1(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         gt.write_text("0 p1 20 20 10 10\n")

@@ -357,17 +357,3 @@ class TestOutputInvariants:
         indices = [r.meta.frame_index for r in results]
         assert indices == sorted(indices)
         assert len(indices) == len(set(indices))
-
-    def test_backends_agree_end_to_end(self):
-        from polypstream import kernels
-
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba backend not available")
-        sc = tiny_scenario(17)
-        frames, det_list = list(sc.frames), list(sc.raw_detections)
-        cfg = scenario_cfg()
-        with kernels.use_backend("numba"):
-            a = process_sequence(frames, det_list, cfg)
-        with kernels.use_backend("numpy"):
-            b = process_sequence(frames, det_list, cfg)
-        assert a == b
