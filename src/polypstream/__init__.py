@@ -43,7 +43,7 @@ from .geometry import (
     corners_to_centroid,
     iou,
 )
-from .similarity import GrayFrame, SsimParams, downsample, prepare_luma, similar_frames, ssim, to_luma
+from .similarity import GrayFrame, SsimParams, downsample, prepare_luma, ssim, to_luma
 from .synthetic import (
     ConfidenceModel,
     Scenario,
@@ -98,7 +98,6 @@ __all__ = [
     "pr_curve",
     "prepare_luma",
     "process_sequence",
-    "similar_frames",
     "simulate_detector",
     "ssim",
     "standard_noise_config",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .benchmark import bench_correlator, make_bench_detections, make_bench_frames
-from .config import build_run_config, derive_sweep_config, parse_config_file
+from .config import CONFIG_KEYS, build_run_config, derive_sweep_config, parse_config_file
 from .correlator import process_sequence
 from .errors import InputError
 from .evaluation import EvalReport, evaluate_sequences
@@ -25,12 +25,13 @@ from .formats import (
     read_frames,
     read_image,
     write_detections,
+    write_file,
     write_frames,
     write_groundtruth,
 )
 from .similarity import prepare_luma, ssim
 from .synthetic import ScenarioConfig, TrackSpec, generate_scenario, standard_noise_config
-from .geometry import BoundingBox
+from .geometry import BoundingBox, FrameDetections, FrameMeta
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,27 +42,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_CONFIG_FLAGS = {
-    "half_window": int,
-    "similarity_threshold": float,
-    "confidence_gate": float,
-    "fc_quorum": int,
-    "fill_quorum": int,
-    "fill_iou": float,
-    "ssim_k1": float,
-    "ssim_k2": float,
-    "ssim_dynamic_range": float,
-    "ssim_mode": str,
-    "ssim_window_size": int,
-    "ssim_stride": int,
-    "downsample_w": int,
-    "downsample_h": int,
-}
-
-
 def _add_config_flags(p: argparse.ArgumentParser, exclude: tuple[str, ...] = ()) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
-    for key, typ in _CONFIG_FLAGS.items():
+    for key, typ in CONFIG_KEYS.items():
         if key in exclude:
             continue
         p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None, dest=key)
@@ -69,7 +52,7 @@ def _add_config_flags(p: argparse.ArgumentParser, exclude: tuple[str, ...] = ())
 
 def _run_config(args: argparse.Namespace):
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_FLAGS}
+    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     return build_run_config(file_values, overrides)
 
 
@@ -82,6 +65,13 @@ def _parse_size(text: str) -> tuple[int, int]:
     if w <= 0 or h <= 0:
         raise InputError(f"frame size must be positive, got {text!r}")
     return w, h
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _iou_cut(text: str) -> float:
@@ -123,7 +113,7 @@ def _write_json(path: str, payload: dict) -> None:
     if path == "-":
         print(text)
     else:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        write_file(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +191,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         declared = args.num_frames[i] if args.num_frames else None
         dets = _load_with_context(det_path, parse_detections, w, h, declared)
         gts = _load_with_context(gt_path, parse_groundtruth, declared)
-        length = max(len(dets), len(gts))
-        dets = _load_with_context(det_path, parse_detections, w, h, length)
-        gts = _load_with_context(gt_path, parse_groundtruth, length)
+        dets += [FrameDetections(FrameMeta(w, h, j), ()) for j in range(len(dets), len(gts))]
+        gts += [[] for _ in range(len(gts), len(dets))]
         sequences.append((dets, gts))
 
     report = evaluate_sequences(sequences, iou_cut=args.iou_cut)
@@ -250,8 +239,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.dropout_rate is not None:
         replacements["tp_dropout_rate"] = args.dropout_rate
     if args.scene_breaks is not None:
-        breaks = frozenset(int(s) for s in args.scene_breaks.split(",") if s.strip())
-        replacements["scene_break_frames"] = breaks
+        breaks = _int_list(args.scene_breaks, "--scene-breaks")
+        replacements["scene_break_frames"] = frozenset(breaks)
     if replacements:
         try:
             cfg = dataclasses.replace(cfg, **replacements)
@@ -260,7 +249,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     scenario = generate_scenario(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_frames(out / "frames", scenario.frames, args.image_format)
     write_detections(out / "detections.txt", scenario.raw_detections)
     write_groundtruth(out / "groundtruth.txt", scenario.ground_truth)
@@ -299,10 +287,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    try:
-        half_windows = [int(s) for s in args.half_windows.split(",") if s.strip()]
-    except ValueError:
-        raise InputError(f"--half-window expects integers, got {args.half_windows!r}") from None
+    half_windows = _int_list(args.half_windows, "--half-window")
     if not half_windows:
         raise InputError("--half-window list is empty")
 

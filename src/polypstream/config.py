@@ -1,15 +1,17 @@
 """Flat key/value run configuration with CLI overrides.
 
-A config file holds ``key = value`` lines (``#`` comments allowed); every
-key maps one-to-one onto a correlator/similarity parameter or an I/O path.
-Unknown keys are rejected. Defaults are the reference operating point:
-half window 3, similarity gate 0.85, confidence gate 0.3, fixed-correlation
-quorum 3, fill IoU 0.5.
+A config file holds ``key = value`` lines (``#`` comments allowed). The
+tunable keys are the fields of :class:`IscuConfig` (except ``ssim_params``)
+and of :class:`SsimParams`; a SsimParams field takes the ``ssim_`` prefix
+(``ssim_k1``, ``ssim_mode``, ...) except ``downsample_w``/``downsample_h``.
+Each key has the type of its field's default, and an absent key keeps that
+default. The path keys ``frames_dir``, ``detections`` and ``output`` name the
+inputs and output of ``filter``. Unknown keys are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -17,28 +19,16 @@ from .correlator import IscuConfig
 from .errors import InputError
 from .similarity import SsimParams
 
-_INT_KEYS = {
-    "half_window",
-    "fc_quorum",
-    "fill_quorum",
-    "ssim_window_size",
-    "ssim_stride",
-    "downsample_w",
-    "downsample_h",
-    "num_frames",
-    "frame_width",
-    "frame_height",
+_ISCU_FIELDS = {f.name: f for f in fields(IscuConfig) if f.name != "ssim_params"}
+_SSIM_FIELDS = {
+    f.name if f.name.startswith("downsample_") else f"ssim_{f.name}": f
+    for f in fields(SsimParams)
 }
-_FLOAT_KEYS = {
-    "similarity_threshold",
-    "confidence_gate",
-    "fill_iou",
-    "ssim_k1",
-    "ssim_k2",
-    "ssim_dynamic_range",
+CONFIG_KEYS: dict[str, type] = {
+    key: type(f.default) for key, f in {**_ISCU_FIELDS, **_SSIM_FIELDS}.items()
 }
-_STR_KEYS = {"ssim_mode", "frames_dir", "detections", "ground_truth", "output"}
-ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_PATH_KEYS = ("frames_dir", "detections", "output")
+_KEY_TYPES = {**CONFIG_KEYS, **dict.fromkeys(_PATH_KEYS, str)}
 
 
 @dataclass
@@ -48,11 +38,7 @@ class RunConfig:
     iscu: IscuConfig
     frames_dir: str | None = None
     detections: str | None = None
-    ground_truth: str | None = None
     output: str | None = None
-    num_frames: int | None = None
-    frame_width: int | None = None
-    frame_height: int | None = None
 
 
 def parse_config_file(path: str | Path) -> dict[str, Any]:
@@ -70,23 +56,19 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
             raise InputError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _coerce(key, value, f"{path}:{line_no}")
+        values[key] = _coerce(key, value.strip(), f"{path}:{line_no}")
     return values
 
 
 def _coerce(key: str, value: Any, where: str) -> Any:
-    if key in _STR_KEYS:
-        return str(value)
+    typ = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        return float(value)
+        return typ(value)
     except (TypeError, ValueError):
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise InputError(f"{where}: {key} must be an {kind}, got {value!r}") from None
+        kind = "an integer" if typ is int else "a number"
+        raise InputError(f"{where}: {key} must be {kind}, got {value!r}") from None
 
 
 def build_run_config(*sources: Mapping[str, Any]) -> RunConfig:
@@ -100,44 +82,19 @@ def build_run_config(*sources: Mapping[str, Any]) -> RunConfig:
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise InputError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value, "config")
 
+    def present(keyed_fields):
+        return {f.name: merged[key] for key, f in keyed_fields.items() if key in merged}
+
     try:
-        ssim_params = SsimParams(
-            k1=merged.get("ssim_k1", 0.01),
-            k2=merged.get("ssim_k2", 0.03),
-            dynamic_range=merged.get("ssim_dynamic_range", 255.0),
-            mode=merged.get("ssim_mode", "global"),
-            window_size=merged.get("ssim_window_size", 8),
-            stride=merged.get("ssim_stride", 4),
-            downsample_w=merged.get("downsample_w", 160),
-            downsample_h=merged.get("downsample_h", 120),
-            similarity_threshold=merged.get("similarity_threshold", 0.85),
-        )
-        iscu = IscuConfig(
-            half_window=merged.get("half_window", 3),
-            similarity_threshold=merged.get("similarity_threshold", 0.85),
-            confidence_gate=merged.get("confidence_gate", 0.3),
-            fc_quorum=merged.get("fc_quorum", 3),
-            fill_quorum=merged.get("fill_quorum", 3),
-            fill_iou=merged.get("fill_iou", 0.5),
-            ssim_params=ssim_params,
-        )
+        ssim_params = SsimParams(**present(_SSIM_FIELDS))
+        iscu = IscuConfig(ssim_params=ssim_params, **present(_ISCU_FIELDS))
     except ValueError as exc:
         raise InputError(str(exc)) from None
-
-    return RunConfig(
-        iscu=iscu,
-        frames_dir=merged.get("frames_dir"),
-        detections=merged.get("detections"),
-        ground_truth=merged.get("ground_truth"),
-        output=merged.get("output"),
-        num_frames=merged.get("num_frames"),
-        frame_width=merged.get("frame_width"),
-        frame_height=merged.get("frame_height"),
-    )
+    return RunConfig(iscu, **{key: merged.get(key) for key in _PATH_KEYS})
 
 
 def derive_sweep_config(base: IscuConfig, half_window: int) -> IscuConfig:

@@ -93,7 +93,11 @@ def match_boxes(
     each picks the unclaimed ground truth with the highest IoU above the cut.
     Returns per-detection marks ('tp', 'fp', or 'dup' for extra detections on
     a claimed ground truth) aligned with the input, plus claimed gt indices.
+    The cut must lie in [0, 1): below 0 disjoint boxes would match, and at 1
+    nothing could.
     """
+    if not 0.0 <= iou_cut < 1.0:
+        raise ValueError(f"iou_cut must be in [0, 1), got {iou_cut}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     marks = ["fp"] * len(dets)
     claimed: set[int] = set()

@@ -54,6 +54,21 @@ def _lines(source: IO[str] | str | Path | Iterable[str]) -> Iterable[tuple[int, 
     yield from enumerate(source, start=1)
 
 
+def write_file(target: IO | str | Path, data: str | bytes) -> None:
+    """Write a whole text or binary file, or to an open stream; the write
+    counterpart of ``_lines``. A path that cannot be written is an input error."""
+    if not isinstance(target, (str, Path)):
+        target.write(data)
+        return
+    try:
+        if isinstance(data, bytes):
+            Path(target).write_bytes(data)
+        else:
+            Path(target).write_text(data, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc}") from None
+
+
 def _parse_float(token: str, line_no: int, what: str) -> float:
     try:
         value = float(token)
@@ -205,11 +220,7 @@ def write_detections(
             if include_origin:
                 fields.append(sb.origin.value)
             lines.append(" ".join(fields))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    write_file(target, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_groundtruth(
@@ -231,11 +242,7 @@ def write_groundtruth(
                     ]
                 )
             )
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    write_file(target, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +343,24 @@ def read_frames(directory: str | Path) -> list[GrayFrame]:
 
 def write_pgm(path: str | Path, frame: GrayFrame) -> None:
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.samples.tobytes())
+    write_file(path, header + frame.samples.tobytes())
 
 
 def write_ppm_gray(path: str | Path, frame: GrayFrame) -> None:
     """Write luma as an RGB PPM with equal channels (survives luma round-trip)."""
     header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
     rgb = np.repeat(frame.samples[:, :, None], 3, axis=2)
-    Path(path).write_bytes(header + rgb.tobytes())
+    write_file(path, header + rgb.tobytes())
 
 
 def write_frames(
     directory: str | Path, frames: Sequence[GrayFrame], image_format: str = "pgm"
 ) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {directory}: {exc}") from None
     writer = {"pgm": write_pgm, "ppm": write_ppm_gray}.get(image_format)
     if writer is None:
         raise InputError(f"unsupported image format {image_format!r}")

@@ -59,7 +59,6 @@ class SsimParams:
     stride: int = 4
     downsample_w: int = 160
     downsample_h: int = 120
-    similarity_threshold: float = 0.85
 
     def __post_init__(self) -> None:
         if self.k1 <= 0 or self.k2 <= 0 or self.dynamic_range <= 0:
@@ -70,8 +69,6 @@ class SsimParams:
             raise ValueError("window_size and stride must be positive")
         if self.downsample_w <= 0 or self.downsample_h <= 0:
             raise ValueError("downsample dimensions must be positive")
-        if not (0.0 < self.similarity_threshold <= 1.0):
-            raise ValueError("similarity_threshold must be in (0, 1]")
 
     @property
     def b1(self) -> float:
@@ -143,14 +140,6 @@ def ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
         x.samples, y.samples, p.window_size, p.stride, p.b1, p.b2, p.b3
     )
     return total / count
-
-
-def similar_frames(
-    current: GrayFrame, neighbors: list[GrayFrame], p: SsimParams | None = None
-) -> list[int]:
-    """Indices of neighbors whose similarity with `current` exceeds the threshold."""
-    p = p or SsimParams()
-    return [i for i, nb in enumerate(neighbors) if ssim(current, nb, p) > p.similarity_threshold]
 
 
 def prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:

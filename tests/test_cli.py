@@ -88,6 +88,23 @@ class TestFilterCommand:
         assert run_cli(["filter", "--frames", "nope"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        root, _ = make_scenario_dir(tmp_path, n_frames=8)
+        out = tmp_path / "missing" / "x.txt"
+        code = run_cli(
+            [
+                "filter",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(root / "detections.txt"),
+                "--output",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def _write_pair(self, tmp_path, det_rows, gt_rows):
@@ -134,6 +151,17 @@ class TestEvalCommand:
         assert data["tp"] == 1
         assert data["sen_pct"] == 100.0
         assert data["pdr_pct"] == 100.0
+
+    def test_unwritable_json_exit_1(self, tmp_path, capsys):
+        det, gt = self._write_pair(
+            tmp_path, ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"]
+        )
+        out = tmp_path / "missing" / "r.json"
+        code = run_cli(
+            ["eval", "--detections", str(det), "--ground-truth", str(gt), "--json", str(out)]
+        )
+        assert code == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_multi_sequence_eval(self, tmp_path, capsys):
         det1, gt1 = self._write_pair(
@@ -270,6 +298,13 @@ class TestSynthCommand:
         )
         assert code == 0
         assert (out / "frames" / "000000.ppm").exists()
+
+    def test_bad_scene_breaks_exit_1(self, tmp_path, capsys):
+        code = run_cli(
+            ["synth", "--out", str(tmp_path / "scen"), "--n-frames", "3", "--scene-breaks", "a,b"]
+        )
+        assert code == 1
+        assert "--scene-breaks" in capsys.readouterr().err
 
 
 class TestBenchCommand:

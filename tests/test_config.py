@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from polypstream import cli
 from polypstream.config import (
     build_run_config,
     derive_sweep_config,
@@ -7,6 +10,34 @@ from polypstream.config import (
 )
 from polypstream.correlator import IscuConfig
 from polypstream.errors import InputError
+from polypstream.similarity import SsimParams
+
+
+def _tunable_fields():
+    """(config key, owning dataclass, field) for every tunable parameter."""
+    cases = [(f.name, IscuConfig, f) for f in fields(IscuConfig) if f.name != "ssim_params"]
+    for f in fields(SsimParams):
+        key = f.name if f.name.startswith("downsample_") else f"ssim_{f.name}"
+        cases.append((key, SsimParams, f))
+    return cases
+
+
+def _non_default(f):
+    if f.name == "mode":
+        return "windowed"
+    return f.default + 1 if isinstance(f.default, int) else f.default / 2
+
+
+def _expected(owner, f, value):
+    if owner is SsimParams:
+        return IscuConfig(ssim_params=SsimParams(**{f.name: value}))
+    return IscuConfig(**{f.name: value})
+
+
+_TUNABLE_FIELDS = _tunable_fields()
+_TUNABLES = pytest.mark.parametrize(
+    "key, owner, f", _TUNABLE_FIELDS, ids=[key for key, _, _ in _TUNABLE_FIELDS]
+)
 
 
 class TestConfigFile:
@@ -46,6 +77,33 @@ class TestConfigFile:
         with pytest.raises(InputError, match="cannot read"):
             parse_config_file(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize(
+        "line", ["ground_truth = nope.txt", "num_frames = -5", "frame_width = 0", "frame_height = 0"]
+    )
+    def test_removed_keys_rejected(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(InputError, match="unknown config key"):
+            parse_config_file(path)
+
+
+class TestSchema:
+    """Every dataclass field is reachable, by its key and by its flag."""
+
+    @_TUNABLES
+    def test_config_file_line_sets_field(self, tmp_path, key, owner, f):
+        value = _non_default(f)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert build_run_config(parse_config_file(path)).iscu == _expected(owner, f, value)
+
+    @_TUNABLES
+    def test_filter_flag_sets_field(self, key, owner, f):
+        value = _non_default(f)
+        flag = "--" + key.replace("_", "-")
+        args = cli.build_parser().parse_args(["filter", flag, str(value)])
+        assert cli._run_config(args).iscu == _expected(owner, f, value)
+
 
 class TestMerge:
     def test_defaults_match_reference_operating_point(self):
@@ -69,10 +127,9 @@ class TestMerge:
         with pytest.raises(InputError):
             build_run_config({"half_window": 1, "fc_quorum": 5})
 
-    def test_threshold_shared_with_ssim_params(self):
+    def test_threshold_sets_iscu_config(self):
         rc = build_run_config({"similarity_threshold": 0.7})
         assert rc.iscu.similarity_threshold == 0.7
-        assert rc.iscu.ssim_params.similarity_threshold == 0.7
 
 
 class TestSweepDerivation:

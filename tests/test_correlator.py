@@ -133,6 +133,16 @@ class TestEliminateNoise:
         window = window_of(det_list, 3)
         assert len(eliminate_noise(window, small_cfg())) == 1
 
+    def test_similarity_gate_is_strict(self):
+        # identical frames score exactly 1.0, which does not pass a gate of
+        # 1.0: no neighbor is similar, so the fixed quorum keeps 3 of 6
+        box = (10, 10, 20, 20)
+        det_list = [dets(0, box), dets(1, box), dets(2, box), dets(3, box), dets(4), dets(5), dets(6)]
+        window = window_of(det_list, 3)
+        assert len(eliminate_noise(window, small_cfg(similarity_threshold=1.0))) == 1
+        with pytest.raises(ValueError):
+            IscuConfig(similarity_threshold=0.0)
+
     def test_no_neighbors_passthrough(self):
         window = window_of([dets(0, (10, 10, 20, 20))], 0)
         assert len(eliminate_noise(window, small_cfg())) == 1

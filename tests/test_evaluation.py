@@ -293,3 +293,11 @@ class TestEvaluateSequences:
         dets, gts = self._seq([([], [])])
         with pytest.raises(InputError):
             evaluate_sequences([(dets, gts + [[]])])
+
+    def test_iou_cut_outside_unit_interval_rejected(self):
+        # a cut below 0 would count this disjoint pair as a true positive
+        gt = corners_to_centroid(bb(50, 50, 60, 60), "a")
+        seq = self._seq([([sb(0, 0, 10, 10)], [gt])])
+        assert evaluate_sequences([seq], iou_cut=0.5).tp == 0
+        with pytest.raises(ValueError, match="iou_cut"):
+            evaluate_sequences([seq], iou_cut=-1.0)

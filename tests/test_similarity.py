@@ -8,7 +8,6 @@ from polypstream.similarity import (
     SsimParams,
     downsample,
     prepare_luma,
-    similar_frames,
     ssim,
     to_luma,
 )
@@ -55,8 +54,6 @@ class TestSsimParams:
             SsimParams(k1=0)
         with pytest.raises(ValueError):
             SsimParams(mode="gaussian")
-        with pytest.raises(ValueError):
-            SsimParams(similarity_threshold=0.0)
 
 
 class TestToLuma:
@@ -180,24 +177,3 @@ class TestSsim:
         g = gray(np.zeros((4, 4)))
         with pytest.raises(InputError):
             ssim(g, g, p)
-
-
-class TestSimilarFrames:
-    def test_identical_neighbors_all_pass(self):
-        f = random_frame(np.random.default_rng(4))
-        assert similar_frames(f, [f, f, f]) == [0, 1, 2]
-
-    def test_inverted_neighbors_fail(self):
-        f = random_frame(np.random.default_rng(5), 16, 16)
-        inv = gray(255 - f.samples)
-        assert naive_ssim(f, inv) < 0.85  # oracle confirms the premise
-        assert similar_frames(f, [inv, inv]) == []
-
-    def test_empty_neighbors(self):
-        f = random_frame(np.random.default_rng(6))
-        assert similar_frames(f, []) == []
-
-    def test_threshold_is_strict(self):
-        f = random_frame(np.random.default_rng(7))
-        p = SsimParams(similarity_threshold=1.0)
-        assert similar_frames(f, [f], p) == []
