@@ -11,7 +11,6 @@ from .correlator import (
     FilteredFrame,
     IscuConfig,
     StreamCorrelator,
-    WindowSlot,
     correct_missed,
     eliminate_noise,
     process_sequence,
@@ -78,7 +77,6 @@ __all__ = [
     "SsimParams",
     "StreamCorrelator",
     "TrackSpec",
-    "WindowSlot",
     "adaptive_iou_threshold",
     "aggregate",
     "average_precision",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .formats import (
 )
 from .similarity import prepare_luma, ssim
 from .synthetic import ScenarioConfig, TrackSpec, generate_scenario, standard_noise_config
-from .geometry import BoundingBox, FrameDetections, FrameMeta
+from .geometry import BoundingBox
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,6 +107,13 @@ def _print_report(report: EvalReport, out=None) -> None:
             print(f"{key} = {_format_value(value)}", file=out)
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any work when `path` would be written into a directory
+    that does not exist ('-' is stdout)."""
+    if path and path != "-" and not Path(path).parent.is_dir():
+        raise InputError(f"cannot write {path}: directory {Path(path).parent} does not exist")
+
+
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path == "-":
@@ -128,6 +134,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     out_path = args.output or rc.output
     if not frames_dir or not det_path or not out_path:
         raise InputError("filter needs --frames, --detections and --output")
+    _check_writable(out_path)
     frames = read_frames(frames_dir)
     w, h = frames[0].width, frames[0].height
     dets = _load_with_context(det_path, parse_detections, w, h, len(frames))
@@ -144,35 +151,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _infer_eval_dims(det_path: str, gt_path: str) -> tuple[int, int]:
-    """Smallest frame that contains every record (clipping then a no-op)."""
-    max_x = max_y = 1.0
-    for raw in _read_text(det_path).splitlines():
-        fields = raw.split("#", 1)[0].split()
-        if len(fields) >= 6:
-            try:
-                max_x = max(max_x, float(fields[3]))
-                max_y = max(max_y, float(fields[4]))
-            except ValueError:
-                pass  # the real parser reports the line
-    for raw in _read_text(gt_path).splitlines():
-        fields = raw.split("#", 1)[0].split()
-        if len(fields) == 6:
-            try:
-                max_x = max(max_x, float(fields[2]) + float(fields[4]) / 2)
-                max_y = max(max_y, float(fields[3]) + float(fields[5]) / 2)
-            except ValueError:
-                pass
-    return math.ceil(max_x), math.ceil(max_y)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     if len(args.detections) != len(args.ground_truth):
         raise InputError(
@@ -181,17 +159,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
     if args.num_frames and len(args.num_frames) != len(args.detections):
         raise InputError("--num-frames must list one value per sequence")
+    _check_writable(args.json)
 
+    # without --frame-size each detection file sets its own frame size
+    w, h = _parse_size(args.frame_size) if args.frame_size else (None, None)
     sequences = []
     for i, (det_path, gt_path) in enumerate(zip(args.detections, args.ground_truth)):
-        if args.frame_size:
-            w, h = _parse_size(args.frame_size)
-        else:
-            w, h = _infer_eval_dims(det_path, gt_path)
         declared = args.num_frames[i] if args.num_frames else None
         dets = _load_with_context(det_path, parse_detections, w, h, declared)
         gts = _load_with_context(gt_path, parse_groundtruth, declared)
-        dets += [FrameDetections(FrameMeta(w, h, j), ()) for j in range(len(dets), len(gts))]
+        dets += [() for _ in range(len(dets), len(gts))]  # frames with no detections
         gts += [[] for _ in range(len(gts), len(dets))]
         sequences.append((dets, gts))
 
@@ -260,6 +237,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rc = _run_config(args)
+    _check_writable(args.json)
     if args.frames:
         frames = read_frames(args.frames)
         w, h = frames[0].width, frames[0].height
@@ -290,6 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     half_windows = _int_list(args.half_windows, "--half-window")
     if not half_windows:
         raise InputError("--half-window list is empty")
+    _check_writable(args.json)
 
     frames = read_frames(args.frames)
     w, h = frames[0].width, frames[0].height

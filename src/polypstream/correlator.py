@@ -11,7 +11,8 @@ center frame. Two independent passes run per center:
   the center frame are interpolated as their coordinate-wise mean.
 
 Both passes read the original (confidence-gated) detections of every frame;
-elimination never feeds correction.
+elimination never feeds correction. A window carries these detections and
+each frame's similarity to the center as plain data.
 """
 
 from __future__ import annotations
@@ -65,30 +66,26 @@ class IscuConfig:
 
 
 @dataclass(frozen=True)
-class WindowSlot:
-    """One frame of the correlation window: comparison luma plus detections."""
-
-    luma: GrayFrame
-    dets: FrameDetections
-
-    @property
-    def frame_index(self) -> int:
-        return self.dets.meta.frame_index
-
-
-@dataclass(frozen=True)
 class CorrelationWindow:
-    """An ordered run of frames with a designated center."""
+    """An ordered run of frames' detections with a designated center.
 
-    slots: tuple[WindowSlot, ...]
+    ``similarity[i]`` is frame ``i``'s similarity to the center frame; the
+    center's own entry is unused.
+    """
+
+    frames: tuple[FrameDetections, ...]
     center: int
+    similarity: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.slots:
-            raise ValueError("window must contain at least the center slot")
-        if not (0 <= self.center < len(self.slots)):
-            raise ValueError(f"center {self.center} out of range for {len(self.slots)} slots")
-        indices = [s.frame_index for s in self.slots]
+        n = len(self.frames)
+        if not n:
+            raise ValueError("window must contain at least the center frame")
+        if not (0 <= self.center < n):
+            raise ValueError(f"center {self.center} out of range for {n} frames")
+        if len(self.similarity) != n:
+            raise ValueError(f"{len(self.similarity)} similarities for {n} frames")
+        indices = [f.meta.frame_index for f in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError(f"window frame indices must be strictly increasing: {indices}")
 
@@ -108,50 +105,35 @@ class FilteredFrame:
 
 
 def _overlap_count(
-    target: ScoredBox, meta: FrameMeta, pool: Sequence[WindowSlot]
+    target: ScoredBox, meta: FrameMeta, pool: Sequence[FrameDetections]
 ) -> int:
     """Number of pool frames holding a box that overlaps `target` above its
     size-adaptive threshold."""
     thr = adaptive_iou_threshold(target.box, meta)
     count = 0
-    for slot in pool:
-        if any(iou(sb.box, target.box) > thr for sb in slot.dets.boxes):
+    for dets in pool:
+        if any(iou(sb.box, target.box) > thr for sb in dets.boxes):
             count += 1
     return count
 
 
-def eliminate_noise(
-    window: CorrelationWindow,
-    cfg: IscuConfig,
-    ssim_lookup: Callable[[int, int], float] | None = None,
-) -> tuple[ScoredBox, ...]:
+def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
     """Center boxes that survive the cross-frame noise test, in input order.
 
-    `ssim_lookup(i, j)` may supply precomputed similarity between slots i and
-    j; when absent, similarities are computed from the slot frames directly.
+    A neighbor is similar when its ``window.similarity`` entry exceeds
+    ``cfg.similarity_threshold``.
     """
-    center = window.slots[window.center]
+    center = window.frames[window.center]
     neighbors = [
-        (i, s) for i, s in enumerate(window.slots) if i != window.center
+        (f, s)
+        for i, (f, s) in enumerate(zip(window.frames, window.similarity))
+        if i != window.center
     ]
     if not neighbors:
         # Nothing to correlate against: a single-frame stream passes through.
-        return center.dets.boxes
+        return center.boxes
 
-    if ssim_lookup is None:
-        prepared = {window.center: prepare_luma(center.luma, cfg.ssim_params)}
-
-        def ssim_lookup(i: int, j: int) -> float:
-            for k in (i, j):
-                if k not in prepared:
-                    prepared[k] = prepare_luma(window.slots[k].luma, cfg.ssim_params)
-            return ssim(prepared[i], prepared[j], cfg.ssim_params)
-
-    similar = [
-        s
-        for i, s in neighbors
-        if ssim_lookup(window.center, i) > cfg.similarity_threshold
-    ]
+    similar = [f for f, s in neighbors if s > cfg.similarity_threshold]
     m = len(similar)
     if m > 0:
         pool = similar
@@ -159,7 +141,7 @@ def eliminate_noise(
     else:
         # Fixed-frames fallback: at steady state the configured quorum, on a
         # truncated boundary window the majority of whatever is available.
-        pool = [s for _, s in neighbors]
+        pool = [f for f, _ in neighbors]
         quorum = (
             cfg.fc_quorum
             if len(neighbors) == 2 * cfg.half_window
@@ -167,9 +149,8 @@ def eliminate_noise(
         )
         required = lambda c: c >= quorum
 
-    meta = center.dets.meta
     return tuple(
-        sb for sb in center.dets.boxes if required(_overlap_count(sb, meta, pool))
+        sb for sb in center.boxes if required(_overlap_count(sb, center.meta, pool))
     )
 
 
@@ -183,17 +164,17 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
     its mean box does not coincide with any original center detection.
     """
     c = window.center
-    neighbor_ids = [i for i in range(len(window.slots)) if i != c]
+    frames = window.frames
+    neighbor_ids = [i for i in range(len(frames)) if i != c]
     if not any(i < c for i in neighbor_ids) or not any(i > c for i in neighbor_ids):
         return ()
 
-    slots = window.slots
     claimed: set[tuple[int, int]] = set()
     added: list[ScoredBox] = []
     seed_order = sorted(neighbor_ids, key=lambda i: (abs(i - c), i - c))
 
     for si in seed_order:
-        for bi, seed in enumerate(slots[si].dets.boxes):
+        for bi, seed in enumerate(frames[si].boxes):
             if (si, bi) in claimed:
                 continue
             claimed.add((si, bi))
@@ -203,7 +184,7 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
                     continue
                 best_idx = -1
                 best_iou = cfg.fill_iou
-                for obi, cand in enumerate(slots[oi].dets.boxes):
+                for obi, cand in enumerate(frames[oi].boxes):
                     if (oi, obi) in claimed:
                         continue
                     v = iou(seed.box, cand.box)
@@ -212,7 +193,7 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
                         best_idx = obi
                 if best_idx >= 0:
                     claimed.add((oi, best_idx))
-                    members.append((oi, slots[oi].dets.boxes[best_idx]))
+                    members.append((oi, frames[oi].boxes[best_idx]))
 
             if len(members) < cfg.fill_quorum:
                 continue
@@ -227,7 +208,7 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
                 sum(b.x_max for b in boxes) / n,
                 sum(b.y_max for b in boxes) / n,
             )
-            if any(iou(mean_box, sb.box) > cfg.fill_iou for sb in slots[c].dets.boxes):
+            if any(iou(mean_box, sb.box) > cfg.fill_iou for sb in frames[c].boxes):
                 continue
             confidence = sum(m[1].confidence for m in members) / n
             added.append(ScoredBox(mean_box, confidence, BoxOrigin.INTERPOLATED))
@@ -240,13 +221,16 @@ class StreamCorrelator:
 
     The result for a frame is emitted once ``half_window`` later frames have
     arrived; ``flush()`` drains the trailing frames with whatever neighbors
-    remain. Similarity values are cached per frame pair as the window slides.
+    remain. Each pushed frame's similarity to the up to ``half_window``
+    frames before it is computed once, at push time, and kept with its
+    detections; only those earlier frames' comparison luma is retained.
     """
 
     def __init__(self, cfg: IscuConfig | None = None) -> None:
         self.cfg = cfg or IscuConfig()
-        self._slots: deque[WindowSlot] = deque()
-        self._ssim_cache: dict[tuple[int, int], float] = {}
+        self._lumas: deque[GrayFrame] = deque(maxlen=self.cfg.half_window)
+        # (gated detections, similarity to each of the frames before it, oldest first)
+        self._buffer: deque[tuple[FrameDetections, tuple[float, ...]]] = deque()
         self._n_pushed = 0
         self._next_emit = 0
         self._last_index: int | None = None
@@ -278,7 +262,11 @@ class StreamCorrelator:
             meta,
             tuple(sb for sb in dets.boxes if sb.confidence > self.cfg.confidence_gate),
         )
-        self._slots.append(WindowSlot(prepare_luma(frame, self.cfg.ssim_params), gated))
+        p = self.cfg.ssim_params
+        luma = prepare_luma(frame, p)
+        back = tuple(ssim(earlier, luma, p) for earlier in self._lumas)
+        self._lumas.append(luma)
+        self._buffer.append((gated, back))
         self._n_pushed += 1
         if self._n_pushed - 1 >= self._next_emit + self.cfg.half_window:
             return self._emit()
@@ -294,20 +282,7 @@ class StreamCorrelator:
     # internal ------------------------------------------------------------
 
     def _base(self) -> int:
-        return self._n_pushed - len(self._slots)
-
-    def _pair_ssim(self, pos_a: int, pos_b: int) -> float:
-        key = (pos_a, pos_b) if pos_a < pos_b else (pos_b, pos_a)
-        val = self._ssim_cache.get(key)
-        if val is None:
-            base = self._base()
-            val = ssim(
-                self._slots[pos_a - base].luma,
-                self._slots[pos_b - base].luma,
-                self.cfg.ssim_params,
-            )
-            self._ssim_cache[key] = val
-        return val
+        return self._n_pushed - len(self._buffer)
 
     def _emit(self) -> FilteredFrame:
         h = self.cfg.half_window
@@ -315,25 +290,20 @@ class StreamCorrelator:
         base = self._base()
         lo = max(0, center_pos - h)
         hi = min(self._n_pushed - 1, center_pos + h)
-        window = CorrelationWindow(
-            tuple(self._slots[p - base] for p in range(lo, hi + 1)),
-            center_pos - lo,
-        )
-        lookup = lambda i, j: self._pair_ssim(lo + i, lo + j)
-        kept = eliminate_noise(window, self.cfg, lookup)
+        frames, backs = zip(*(self._buffer[p - base] for p in range(lo, hi + 1)))
+        c = center_pos - lo
+        # each pair's similarity is stored with its later frame; the center's
+        # own list covers exactly the c frames before it
+        similarity = backs[c] + (1.0,) + tuple(backs[k][c - k] for k in range(c + 1, len(frames)))
+        window = CorrelationWindow(frames, c, similarity)
+        kept = eliminate_noise(window, self.cfg)
         added = correct_missed(window, self.cfg)
-        center = window.slots[window.center]
-        result = FilteredFrame(
-            center.dets.meta, kept, added, len(center.dets.boxes) - len(kept)
-        )
+        center = frames[c]
+        result = FilteredFrame(center.meta, kept, added, len(center.boxes) - len(kept))
         self._next_emit += 1
         keep_from = self._next_emit - h
-        while self._base() < keep_from and self._slots:
-            self._slots.popleft()
-        if keep_from > 0:
-            self._ssim_cache = {
-                k: v for k, v in self._ssim_cache.items() if k[0] >= keep_from
-            }
+        while self._base() < keep_from and self._buffer:
+            self._buffer.popleft()
         return result
 
 

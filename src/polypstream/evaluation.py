@@ -186,8 +186,12 @@ def pr_curve(
     for dets, gts in zip(detections, ground_truths):
         marks, _ = match_boxes(dets, list(gts), iou_cut)
         pool.extend((d.confidence, m) for d, m in zip(dets, marks))
-    pool.sort(key=lambda t: -t[0])
+    return _pr_points(pool, total_gt)
 
+
+def _pr_points(pool: list[tuple[float, str]], total_gt: int) -> list[PrPoint]:
+    """The staircase of pooled (confidence, mark) pairs; sorts `pool`."""
+    pool.sort(key=lambda t: -t[0])
     points: list[PrPoint] = []
     tp = fp = 0
     for idx, (conf, mark) in enumerate(pool):
@@ -211,7 +215,11 @@ def average_precision(
     Precision is replaced by its monotone non-increasing envelope before
     integrating over recall.
     """
-    points = pr_curve(detections, ground_truths, iou_cut)
+    return _staircase_area(pr_curve(detections, ground_truths, iou_cut))
+
+
+def _staircase_area(points: list[PrPoint]) -> float:
+    """Area under the monotone precision envelope of `points`, over recall."""
     if not points:
         return 0.0
     envelope: list[tuple[float, float]] = []
@@ -257,8 +265,7 @@ def evaluate_sequences(
     """
     outcomes: list[FrameOutcome] = []
     flags: dict[str, bool] = {}
-    ap_dets: list[Sequence[ScoredBox]] = []
-    ap_gts: list[list[BoundingBox]] = []
+    pool: list[tuple[float, str]] = []
 
     for dets_seq, gt_seq in sequences:
         if len(dets_seq) != len(gt_seq):
@@ -282,11 +289,11 @@ def evaluate_sequences(
                 flags.setdefault(g.polyp_id, False)
             for j in claimed:
                 flags[gts[j].polyp_id] = True
-            ap_dets.append(boxes)
-            ap_gts.append(corners)
+            pool.extend((d.confidence, m) for d, m in zip(boxes, marks))
 
     report = aggregate(outcomes)
     if flags:
+        # flags is non-empty only when some frame has ground truth
         report.pdr = pdr(flags)
-        report.map = average_precision(ap_dets, ap_gts, iou_cut)
+        report.map = _staircase_area(_pr_points(pool, report.tp + report.fn))
     return report

@@ -88,17 +88,19 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 
 def parse_detections(
     source: IO[str] | str | Path | Iterable[str],
-    width: int,
-    height: int,
+    width: int | None = None,
+    height: int | None = None,
     n_frames: int | None = None,
 ) -> list[FrameDetections]:
     """Parse detection records into per-frame sets of the given geometry.
 
     Boxes are clipped to the frame; a record that clips to nothing is an
-    error. Frames with no records come back with empty detection lists, up
-    to ``n_frames`` (or the highest index seen when not given).
+    error. A dimension not given is the ceiling of the records' largest
+    ``x_max`` (or ``y_max``), at least 1, so clipping on it is a no-op.
+    Frames with no records come back with empty detection lists, up to
+    ``n_frames`` (or the highest index seen when not given).
     """
-    per_frame: dict[int, list[ScoredBox]] = {}
+    records = []  # (line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin)
     max_index = -1
     for line_no, raw in _lines(source):
         text = raw.split("#", 1)[0].strip()
@@ -136,6 +138,15 @@ def parse_detections(
                 raise InputError(
                     f"line {line_no}: origin must be 'det' or 'interp', got {fields[6]!r}"
                 ) from None
+        records.append((line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin))
+        max_index = max(max_index, frame_index)
+
+    if width is None:
+        width = max(1, math.ceil(max((r[4] for r in records), default=1)))
+    if height is None:
+        height = max(1, math.ceil(max((r[5] for r in records), default=1)))
+    per_frame: dict[int, list[ScoredBox]] = {}
+    for line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin in records:
         clipped = clip_box(
             BoundingBox(max(x_min, 0.0), max(y_min, 0.0), x_max, y_max), width, height
         )
@@ -144,7 +155,6 @@ def parse_detections(
                 f"line {line_no}: box lies entirely outside the {width}x{height} frame"
             )
         per_frame.setdefault(frame_index, []).append(ScoredBox(clipped, confidence, origin))
-        max_index = max(max_index, frame_index)
 
     length = n_frames if n_frames is not None else max_index + 1
     return [
@@ -251,13 +261,14 @@ def write_groundtruth(
 
 
 def _read_netpbm_tokens(data: bytes, path: Path, count: int) -> tuple[list[bytes], int]:
-    """Read `count` header tokens, skipping whitespace and # comments.
+    """Read `count` header tokens after the 2-byte magic, skipping whitespace
+    and # comments. Scans `data` in place.
 
     Returns the tokens and the offset of the raster (one whitespace byte
     after the last token).
     """
     tokens: list[bytes] = []
-    i = 0
+    i = 2
     n = len(data)
     while len(tokens) < count:
         while i < n and data[i : i + 1].isspace():
@@ -291,7 +302,7 @@ def read_image(path: str | Path) -> GrayFrame:
         raise InputError(
             f"{path}: unsupported netpbm format {magic!r} (binary P5/P6 required)"
         )
-    tokens, offset = _read_netpbm_tokens(data[2:], path, 3)
+    tokens, offset = _read_netpbm_tokens(data, path, 3)
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -300,17 +311,17 @@ def read_image(path: str | Path) -> GrayFrame:
         raise InputError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:
         raise InputError(f"{path}: unsupported maxval {maxval} (only 8-bit, maxval 255)")
-    raster = data[2 + offset :]
     channels = 1 if magic == b"P5" else 3
     expected = width * height * channels
-    if len(raster) < expected:
+    if len(data) - offset < expected:
         raise InputError(
-            f"{path}: raster truncated ({len(raster)} bytes, expected {expected})"
+            f"{path}: raster truncated ({len(data) - offset} bytes, expected {expected})"
         )
-    arr = np.frombuffer(raster[:expected], dtype=np.uint8)
+    # a read-only view of the file's bytes: no copy of the raster
+    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
     if channels == 1:
-        return GrayFrame.from_array(arr.reshape(height, width).copy())
-    return to_luma(arr.reshape(height, width, 3).copy())
+        return GrayFrame.from_array(arr.reshape(height, width))
+    return to_luma(arr.reshape(height, width, 3))
 
 
 def read_frames(directory: str | Path) -> list[GrayFrame]:

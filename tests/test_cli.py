@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import polypstream.cli as cli_mod
 from polypstream.cli import run_cli
 from polypstream.formats import (
     parse_detections,
@@ -88,9 +89,12 @@ class TestFilterCommand:
         assert run_cli(["filter", "--frames", "nope"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the output's directory is checked before any frame is decoded
         root, _ = make_scenario_dir(tmp_path, n_frames=8)
         out = tmp_path / "missing" / "x.txt"
+        decoded = []
+        monkeypatch.setattr(cli_mod, "read_frames", decoded.append)
         code = run_cli(
             [
                 "filter",
@@ -103,6 +107,7 @@ class TestFilterCommand:
             ]
         )
         assert code == 1
+        assert decoded == []
         assert f"cannot write {out}" in capsys.readouterr().err
 
 
@@ -161,7 +166,9 @@ class TestEvalCommand:
             ["eval", "--detections", str(det), "--ground-truth", str(gt), "--json", str(out)]
         )
         assert code == 1
-        assert f"cannot write {out}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no report printed before the failure
+        assert f"cannot write {out}" in captured.err
 
     def test_multi_sequence_eval(self, tmp_path, capsys):
         det1, gt1 = self._write_pair(
@@ -449,7 +456,6 @@ class TestExitCodes:
         gt = tmp_path / "gt.txt"
         det.write_text("0 1 1 2 2 0.5\n")
         gt.write_text("0 p1 5 5 4 4\n")
-        import polypstream.cli as cli_mod
 
         def boom(*a, **kw):
             raise RuntimeError("corrupted state")

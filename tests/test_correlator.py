@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polypstream import correlator
 from polypstream.correlator import (
     CorrelationWindow,
     IscuConfig,
     StreamCorrelator,
-    WindowSlot,
     correct_missed,
     eliminate_noise,
     process_sequence,
@@ -20,7 +20,7 @@ from polypstream.geometry import (
     ScoredBox,
     iou,
 )
-from polypstream.similarity import GrayFrame
+from polypstream.similarity import GrayFrame, ssim
 from polypstream.synthetic import (
     ConfidenceModel,
     ScenarioConfig,
@@ -49,10 +49,16 @@ def dets(index, *boxes, conf=0.9):
     )
 
 
-def window_of(det_list, center, frames=None):
-    frames = frames or [flat_frame()] * len(det_list)
-    slots = tuple(WindowSlot(f, d) for f, d in zip(frames, det_list))
-    return CorrelationWindow(slots, center)
+def window_of(det_list, center, similarity=None):
+    # 1.0 is what identical flat frames score against each other
+    similarity = similarity or (1.0,) * len(det_list)
+    return CorrelationWindow(tuple(det_list), center, tuple(similarity))
+
+
+def noise_similarity(center, n=7):
+    """Measured similarity of noise frames 0..n-1 to noise frame `center`."""
+    p = small_cfg().ssim_params
+    return [ssim(noise_frame(center), noise_frame(i), p) for i in range(n)]
 
 
 def small_cfg(**kw):
@@ -91,6 +97,10 @@ class TestWindowType:
         with pytest.raises(ValueError):
             window_of([dets(0)], 1)
 
+    def test_similarity_length_must_match(self):
+        with pytest.raises(ValueError):
+            window_of([dets(0), dets(1)], 0, similarity=(1.0,))
+
 
 class TestEliminateNoise:
     def test_box_present_everywhere_is_kept(self):
@@ -109,17 +119,15 @@ class TestEliminateNoise:
     def test_fc_fallback_three_of_six_kept(self):
         # all neighbors dissimilar (noise frames) -> fixed quorum applies
         box = (10, 10, 20, 20)
-        frames = [noise_frame(i) for i in range(7)]
         det_list = [dets(0, box), dets(1, box), dets(2, box), dets(3, box), dets(4), dets(5), dets(6)]
-        window = window_of(det_list, 3, frames)
+        window = window_of(det_list, 3, noise_similarity(3))
         kept = eliminate_noise(window, small_cfg())
         assert len(kept) == 1  # overlap in exactly 3 of 6 neighbors
 
     def test_fc_fallback_two_of_six_removed(self):
         box = (10, 10, 20, 20)
-        frames = [noise_frame(i) for i in range(7)]
         det_list = [dets(0, box), dets(1, box), dets(2), dets(3, box), dets(4), dets(5), dets(6)]
-        window = window_of(det_list, 3, frames)
+        window = window_of(det_list, 3, noise_similarity(3))
         assert eliminate_noise(window, small_cfg()) == ()
 
     def test_majority_is_strict(self):
@@ -299,6 +307,29 @@ class TestStreaming:
 
     def test_empty_sequence(self):
         assert process_sequence([], [], small_cfg()) == []
+
+    def test_each_pair_similarity_computed_once(self, monkeypatch):
+        # every frame pair at distance <= half_window is scored exactly once,
+        # earlier frame first, as the later frame is pushed
+        h, n = 3, 20
+        lumas, pairs = [], []  # prepared luma in push order; scored pairs
+        prepare, score = correlator.prepare_luma, correlator.ssim
+
+        def counted_prepare(frame, p):
+            lumas.append(prepare(frame, p))
+            return lumas[-1]
+
+        def counted_ssim(x, y, p):
+            ids = [id(luma) for luma in lumas]
+            pairs.append((ids.index(id(x)), ids.index(id(y))))
+            return score(x, y, p)
+
+        monkeypatch.setattr(correlator, "prepare_luma", counted_prepare)
+        monkeypatch.setattr(correlator, "ssim", counted_ssim)
+        frames = [noise_frame(i) for i in range(n)]
+        process_sequence(frames, [dets(i) for i in range(n)], small_cfg(half_window=h))
+        assert len(pairs) == (n - 1) + (n - 2) + (n - 3)
+        assert pairs == [(a, b) for b in range(n) for a in range(max(0, b - h), b)]
 
     def test_static_scene_is_fixed_point(self):
         frames = [flat_frame()] * 12

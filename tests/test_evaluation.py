@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polypstream import evaluation
 from polypstream.errors import InputError
 from polypstream.evaluation import (
     FrameOutcome,
@@ -293,6 +294,29 @@ class TestEvaluateSequences:
         dets, gts = self._seq([([], [])])
         with pytest.raises(InputError):
             evaluate_sequences([(dets, gts + [[]])])
+
+    def test_each_frame_matched_once(self, monkeypatch):
+        # the precision/recall pool reuses the counting pass's marks
+        gt = corners_to_centroid(bb(10, 10, 30, 30), "a")
+        frames = [
+            ([sb(10, 10, 30, 30, 0.9), sb(12, 12, 30, 30, 0.7)], [gt]),
+            ([sb(50, 50, 70, 70, 0.4)], []),
+            ([sb(11, 11, 31, 31, 0.6)], [gt]),
+        ]
+        calls = []
+        real = evaluation.match_boxes
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "match_boxes", counted)
+        rep = evaluate_sequences([self._seq(frames)])
+        assert len(calls) == len(frames)
+        monkeypatch.undo()
+        dets = [d for d, _ in frames]
+        gts = [[bb(10, 10, 30, 30)] if g else [] for _, g in frames]
+        assert rep.map == average_precision(dets, gts)
 
     def test_iou_cut_outside_unit_interval_rejected(self):
         # a cut below 0 would count this disjoint pair as a true positive

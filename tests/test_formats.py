@@ -155,6 +155,14 @@ class TestNetpbm:
         f = read_image(path)
         assert f.samples.tolist() == [[0, 1], [2, 3]]
 
+    def test_decoded_samples_are_read_only_raster(self, tmp_path):
+        raster = bytes(range(6))
+        path = tmp_path / "r.pgm"
+        path.write_bytes(b"P5\n# a longer comment line\n3 2\n255\n" + raster + b"trailing")
+        samples = read_image(path).samples
+        assert not samples.flags.writeable
+        assert samples.tobytes() == raster
+
     def test_high_maxval_rejected(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
