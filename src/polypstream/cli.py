@@ -268,6 +268,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     half_windows = _int_list(args.half_windows, "--half-window")
     if not half_windows:
         raise InputError("--half-window list is empty")
+    for n in half_windows:
+        if n < 1:
+            raise InputError(f"half window must be >= 1, got {n}")
     _check_writable(args.json)
 
     frames = read_frames(args.frames)
@@ -277,8 +280,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     payload = []
     for n in half_windows:
-        if n < 1:
-            raise InputError(f"half window must be >= 1, got {n}")
         cfg = derive_sweep_config(rc.iscu, n)
         results = process_sequence(frames, dets, cfg)
         report = evaluate_sequences([(results, gts)], iou_cut=args.iou_cut)

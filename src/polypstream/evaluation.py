@@ -121,13 +121,17 @@ def match_frame(
     dets: Sequence[ScoredBox], gts: Sequence[BoundingBox], iou_cut: float = 0.5
 ) -> FrameOutcome:
     """Polyp-level TP/FP/FN counts for one frame; TN flags an all-empty frame."""
-    marks, claimed = match_boxes(dets, gts, iou_cut)
+    return _outcome(*match_boxes(dets, gts, iou_cut), len(gts))
+
+
+def _outcome(marks: list[str], claimed: list[int], n_gts: int) -> FrameOutcome:
+    """One frame's counts from the marks and claimed list of ``match_boxes``."""
     tp = len(claimed)
     return FrameOutcome(
         tp=tp,
         fp=marks.count("fp"),
-        fn=len(gts) - tp,
-        tn=1 if not gts and not dets else 0,
+        fn=n_gts - tp,
+        tn=1 if not n_gts and not marks else 0,
     )
 
 
@@ -276,15 +280,7 @@ def evaluate_sequences(
             boxes = tuple(getattr(dets, "boxes", dets))
             corners = [centroid_to_corners(g) for g in gts]
             marks, claimed = match_boxes(boxes, corners, iou_cut)
-            tp = len(claimed)
-            outcomes.append(
-                FrameOutcome(
-                    tp=tp,
-                    fp=marks.count("fp"),
-                    fn=len(gts) - tp,
-                    tn=1 if not gts and not boxes else 0,
-                )
-            )
+            outcomes.append(_outcome(marks, claimed, len(gts)))
             for g in gts:
                 flags.setdefault(g.polyp_id, False)
             for j in claimed:

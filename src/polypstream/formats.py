@@ -22,13 +22,12 @@ import numpy as np
 from .correlator import FilteredFrame
 from .errors import InputError
 from .geometry import (
-    BoundingBox,
     BoxOrigin,
     FrameDetections,
     FrameMeta,
     GroundTruthBox,
     ScoredBox,
-    clip_box,
+    clip_corners,
 )
 from .similarity import GrayFrame, to_luma
 
@@ -147,9 +146,7 @@ def parse_detections(
         height = max(1, math.ceil(max((r[5] for r in records), default=1)))
     per_frame: dict[int, list[ScoredBox]] = {}
     for line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin in records:
-        clipped = clip_box(
-            BoundingBox(max(x_min, 0.0), max(y_min, 0.0), x_max, y_max), width, height
-        )
+        clipped = clip_corners(x_min, y_min, x_max, y_max, width, height)
         if clipped is None:
             raise InputError(
                 f"line {line_no}: box lies entirely outside the {width}x{height} frame"
@@ -345,10 +342,16 @@ def read_frames(directory: str | Path) -> list[GrayFrame]:
     missing = [i for i in range(first, last + 1) if i not in indexed]
     if missing:
         raise InputError(f"{directory}: missing frame index {missing[0]}")
-    frames = [read_image(indexed[i]) for i in range(first, last + 1)]
-    dims = {(f.width, f.height) for f in frames}
-    if len(dims) > 1:
-        raise InputError(f"{directory}: mixed frame dimensions {sorted(dims)}")
+    frames: list[GrayFrame] = []
+    for i in range(first, last + 1):
+        frame = read_image(indexed[i])
+        if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
+            raise InputError(
+                f"{directory}: mixed frame dimensions: {indexed[i].name} is "
+                f"{frame.width}x{frame.height}, expected {frames[0].width}x{frames[0].height} "
+                f"as in {indexed[first].name}"
+            )
+        frames.append(frame)
     return frames
 
 

@@ -168,10 +168,18 @@ def adaptive_iou_threshold(box: BoundingBox, meta: FrameMeta) -> float:
 
 def clip_box(box: BoundingBox, width: float, height: float) -> BoundingBox | None:
     """Clip a box to frame bounds; None when nothing with area remains."""
-    x0 = min(max(box.x_min, 0.0), width)
-    y0 = min(max(box.y_min, 0.0), height)
-    x1 = min(max(box.x_max, 0.0), width)
-    y1 = min(max(box.y_max, 0.0), height)
+    return clip_corners(*box.as_tuple(), width, height)
+
+
+def clip_corners(
+    x_min: float, y_min: float, x_max: float, y_max: float, width: float, height: float
+) -> BoundingBox | None:
+    """Clip raw corner coordinates, which may lie outside the frame or below
+    zero, to frame bounds; None when nothing with area remains."""
+    x0 = min(max(x_min, 0.0), width)
+    y0 = min(max(y_min, 0.0), height)
+    x1 = min(max(x_max, 0.0), width)
+    y1 = min(max(y_max, 0.0), height)
     if x0 >= x1 or y0 >= y1:
         return None
     return BoundingBox(x0, y0, x1, y1)

@@ -1,9 +1,9 @@
 """Hot numeric kernels: luma, area downsampling and similarity statistics.
 
-One numpy implementation per kernel. Luma, downsampling and the global
-moment sums use exact integer arithmetic, so their results do not depend on
-the platform. The windowed similarity sums its integer window moments
-exactly and only then forms each window's value in floating point.
+One numpy implementation per kernel, in exact integer arithmetic, so results
+do not depend on the platform; the windowed similarity forms each window's
+value in floating point only after summing its integer moments exactly.
+Downsampling is one run sum, over the rows and then the columns, at any size.
 """
 
 from __future__ import annotations
@@ -20,42 +20,42 @@ def luma(rgb: np.ndarray) -> np.ndarray:
     return ((299 * r + 587 * g + 114 * b + 500) // 1000).astype(np.uint8)
 
 
-def _axis_fine_sums(arr: np.ndarray, target: int) -> np.ndarray:
-    """Exact per-interval sums along the last axis, in fine units.
+def _run_sums(arr: np.ndarray, target: int) -> tuple[np.ndarray, int]:
+    """Exact sums of ``target`` equal runs of the rows of a 2-D integer array.
 
-    Each source cell spans ``target`` fine units; output cell ``j`` covers
-    fine interval [j*src, (j+1)*src). Integer arithmetic throughout.
+    Run ``j`` spans [j*src, (j+1)*src) in units of 1/target of a row, edge
+    rows weighted by coverage. Returns the sums and the run length they are
+    counted in: ``k`` when every run is ``k`` whole rows, else ``src``.
     """
-    src = arr.shape[-1]
-    cum = np.zeros(arr.shape[:-1] + (src + 1,), dtype=np.int64)
-    np.cumsum(arr, axis=-1, dtype=np.int64, out=cum[..., 1:])
-    bounds = np.arange(target + 1, dtype=np.int64) * src
-    q, rem = np.divmod(bounds, target)
-    safe_q = np.minimum(q, src - 1)
-    # prefix sum at a fine position: whole cells plus the partial cell
-    prefix = cum[..., q] * target + arr[..., safe_q].astype(np.int64) * rem
-    return prefix[..., 1:] - prefix[..., :-1]
+    src = arr.shape[0]
+    lo, rem = np.divmod(np.arange(target + 1) * src, target)
+    whole = np.diff(lo)  # rows from lo[j] to lo[j+1] - 1: k_min or k_min + 1 per run
+    k_max = int(whole.max())
+    # k_max uint8 rows sum exactly in uint16 while k_max * 255 <= 65535: k_max <= 257
+    acc = np.uint16 if arr.dtype == np.uint8 and k_max <= 257 else np.int64
+    if src % target == 0:
+        return arr.reshape(target, k_max, -1).sum(axis=1, dtype=acc), k_max
+    sums = np.zeros((target, arr.shape[1]), dtype=acc)
+    for r in range(k_max):
+        rows = arr[np.minimum(lo[:-1] + r, src - 1)]
+        rows[whole <= r] = 0  # the runs that are one row shorter
+        sums += rows
+    # in 1/target row units; at most src times the input's largest value
+    fine = np.multiply(sums, target, dtype=np.int64)
+    fine -= rem[:-1, None] * arr[lo[:-1]]
+    fine += rem[1:, None] * arr[np.minimum(lo[1:], src - 1)]
+    return fine, src
 
 
 def box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
-    """Exact area-average resample of an (h, w) uint8 image to (th, tw).
+    """Exact area average of an (h, w) uint8 image at (th, tw), rounded half up.
 
-    Fractional source pixels are weighted by coverage; the final value is
-    rounded half up. Pure integer arithmetic throughout.
+    ``_run_sums`` sums the rows, then the small transposed (w, th) result.
     """
-    h, w = gray.shape
-    if w % tw == 0 and h % th == 0:
-        fx, fy = w // tw, h // th
-        # fy uint8 rows sum exactly in uint16 while fy * 255 <= 65535, i.e. fy <= 257
-        acc = np.uint16 if fy <= 257 else np.int64
-        rows = gray.reshape(th, fy, w).sum(axis=1, dtype=acc).reshape(th, tw, fx)
-        bs = rows.sum(axis=2, dtype=np.int64)
-        den = np.int64(fx) * np.int64(fy)
-        return ((2 * bs + den) // (2 * den)).astype(np.uint8)
-    mid = _axis_fine_sums(gray, tw)
-    tot = _axis_fine_sums(np.ascontiguousarray(mid.T), th).T
-    den = np.int64(w) * np.int64(h)
-    return ((2 * tot + den) // (2 * den)).astype(np.uint8)
+    rows, ky = _run_sums(gray, th)
+    cells, kx = _run_sums(np.ascontiguousarray(rows.T), tw)
+    den = np.int64(ky * kx)  # cells <= 255 * den <= 255 * h * w, far inside int64
+    return ((2 * cells.T + den) // (2 * den)).astype(np.uint8)
 
 
 def ssim_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:

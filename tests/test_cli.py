@@ -111,6 +111,25 @@ class TestFilterCommand:
         assert f"cannot write {out}" in capsys.readouterr().err
 
 
+    def test_record_wholly_above_frame_exit_1(self, tmp_path, capsys):
+        root, _ = make_scenario_dir(tmp_path, n_frames=8)
+        det = tmp_path / "det.txt"
+        det.write_text("0 20 20 40 40 0.9\n0 10 -20 30 -5 0.9\n")
+        code = run_cli(
+            [
+                "filter",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(det),
+                "--output",
+                str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 1
+        assert "line 2: box lies entirely outside the 160x120 frame" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def _write_pair(self, tmp_path, det_rows, gt_rows):
         det = tmp_path / "det.txt"
@@ -199,6 +218,25 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "det.txt" in err and "line 1" in err
+
+    def test_record_wholly_left_of_frame_exit_1(self, tmp_path, capsys):
+        det, gt = self._write_pair(
+            tmp_path, ["0 10 10 30 30 0.9\n", "0 -5 -5 -1 -1 0.9\n"], ["0 p1 20 20 20 20\n"]
+        )
+        code = run_cli(
+            [
+                "eval",
+                "--detections",
+                str(det),
+                "--ground-truth",
+                str(gt),
+                "--frame-size",
+                "64x48",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2: box lies entirely outside the 64x48 frame" in err
 
     def test_comparison_fixture_dataset(self, tmp_path, capsys):
         # tiny dataset constructed to score TP=167, FP=26, FN=41:
@@ -406,6 +444,29 @@ class TestSweepCommand:
             ]
         )
         assert code == 1
+
+    def test_half_window_below_one_fails_before_decoding(self, tmp_path, capsys, monkeypatch):
+        root, _ = make_scenario_dir(tmp_path, seed=3, n_frames=10)
+        decoded = []
+        monkeypatch.setattr(cli_mod, "read_frames", decoded.append)
+        code = run_cli(
+            [
+                "sweep",
+                "--half-window",
+                "1,0",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(root / "detections.txt"),
+                "--ground-truth",
+                str(root / "groundtruth.txt"),
+            ]
+        )
+        assert code == 1
+        assert decoded == []
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no half window reported before the failure
+        assert "half window must be >= 1, got 0" in captured.err
 
 
 class TestExitCodes:

@@ -212,8 +212,11 @@ class TestReadFrames:
             tmp_path / "000001.pgm",
             GrayFrame.from_array(np.zeros((9, 10), dtype=np.uint8)),
         )
-        with pytest.raises(InputError, match="mixed"):
+        write_pgm(tmp_path / "000002.pgm", self.frame(2))
+        with pytest.raises(InputError, match="mixed") as info:
             read_frames(tmp_path)
+        # the first file that differs, its size and the size of the first frame
+        assert "000001.pgm is 10x9, expected 10x8" in str(info.value)
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(InputError, match="no .pgm"):

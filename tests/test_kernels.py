@@ -1,9 +1,12 @@
 """Each hot kernel checked against an exact or naive oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
 from polypstream import kernels
+from polypstream.cli import run_cli
 
 from oracles import naive_windowed_ssim
 
@@ -47,6 +50,15 @@ class TestDownsampleExactness:
             ((9, 9), (9, 9)),
             ((97, 131), (40, 33)),
             ((50, 50), (7, 13)),
+            # rows in whole runs of 3, columns in runs of 3 and 4 source pixels
+            ((12, 17), (5, 4)),
+            # the reverse: rows in runs of 3 and 4, columns in whole runs of 3
+            ((17, 12), (4, 5)),
+            # long runs of both lengths on each axis: 11/12 rows, 3/4 columns
+            ((100, 7), (2, 9)),
+            # one axis kept at its size, the other in runs of 1 and 2
+            ((11, 6), (6, 7)),
+            ((10, 13), (9, 10)),
         ],
     )
     def test_matches_exact_reference(self, shape, target):
@@ -76,11 +88,24 @@ class TestDownsampleExactness:
             got = kernels.box_downsample(g, 3, 2)
             assert np.array_equal(got, self.block_mean(g, 3, 2))
             assert np.all(got == 255)
+        # the same bound when the runs are 256 and 257 rows, or 257 and 258
+        for rows in (513, 515):
+            g = np.full((rows, 6), 255, dtype=np.uint8)
+            assert np.all(kernels.box_downsample(g, 3, 2) == 255)
         # the paper's resolution to the correlator's working size, and to a
         # coarse grid with many columns per cell
         g = random_gray(rng(6), 1080, 1280)
         for tw, th in ((160, 120), (10, 10)):
             assert np.array_equal(kernels.box_downsample(g, tw, th), self.block_mean(g, tw, th))
+
+
+def test_timing_budget_at_non_divisible_size(tmp_path):
+    # criterion 8's 5 ms hard limit, at a height that 120 does not divide
+    out = tmp_path / "bench.json"
+    args = ["bench", "--synthetic-frames", "1000", "--frame-size", "1280x1024"]
+    assert run_cli([*args, "--json", str(out)]) == 0
+    mpt_ms = json.loads(out.read_text())["results"][0]["mpt_ms"]
+    assert mpt_ms <= 5.0, f"mean {mpt_ms:.3f} ms/frame at 1280x1024"
 
 
 class TestLuma:
