@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .benchmark import bench_correlator, make_bench_detections, make_bench_frames
 from .config import CONFIG_KEYS, build_run_config, derive_sweep_config, parse_config_file
-from .correlator import process_sequence
+from .correlator import process_sequence, sweep_sequence
 from .errors import InputError
 from .evaluation import EvalReport, evaluate_sequences
 from .formats import (
@@ -278,10 +278,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dets = _load_with_context(args.detections, parse_detections, w, h, len(frames))
     gts = _load_with_context(args.ground_truth, parse_groundtruth, len(frames))
 
+    cfgs = [derive_sweep_config(rc.iscu, n) for n in half_windows]
     payload = []
-    for n in half_windows:
-        cfg = derive_sweep_config(rc.iscu, n)
-        results = process_sequence(frames, dets, cfg)
+    for n, results in zip(half_windows, sweep_sequence(frames, dets, cfgs)):
         report = evaluate_sequences([(results, gts)], iou_cut=args.iou_cut)
         print(f"[half_window = {n}]")
         _print_report(report)

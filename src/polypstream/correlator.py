@@ -12,7 +12,10 @@ center frame. Two independent passes run per center:
 
 Both passes read the original (confidence-gated) detections of every frame;
 elimination never feeds correction. A window carries these detections and
-each frame's similarity to the center as plain data.
+each frame's similarity to the center as plain data, read from the
+*similarity band*: each frame's similarity to the frames before it, scored
+once as the frame arrives. ``sweep_sequence`` scores one band and replays it
+for several half windows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, SequencingError
 from .geometry import (
@@ -221,9 +224,18 @@ class StreamCorrelator:
 
     The result for a frame is emitted once ``half_window`` later frames have
     arrived; ``flush()`` drains the trailing frames with whatever neighbors
-    remain. Each pushed frame's similarity to the up to ``half_window``
-    frames before it is computed once, at push time, and kept with its
-    detections; only those earlier frames' comparison luma is retained.
+    remain. ``push_frame`` is two steps:
+
+    * ``score_frame`` prepares the frame's comparison luma and returns its
+      similarity to each of the up to ``half_window`` frames before it,
+      oldest first; only those earlier frames' luma is retained;
+    * ``push_scored`` gates the detections, checks the index order, buffers
+      them with those similarities and emits what is due.
+
+    Each frame's similarities are its row of the *similarity band*. A band
+    scored at a wider half window replays through ``push_scored`` unchanged,
+    which keeps only the last ``half_window`` entries of each row; that is
+    how ``sweep_sequence`` scores a sequence once for several half windows.
     """
 
     def __init__(self, cfg: IscuConfig | None = None) -> None:
@@ -239,7 +251,12 @@ class StreamCorrelator:
     def push_frame(
         self, frame: GrayFrame, dets: FrameDetections
     ) -> FilteredFrame | None:
-        meta = dets.meta
+        self._check_order(dets.meta)  # before scoring, so a rejected frame leaves no luma
+        return self.push_scored(dets, self.score_frame(frame, dets.meta))
+
+    def score_frame(self, frame: GrayFrame, meta: FrameMeta) -> tuple[float, ...]:
+        """The frame's band row: ``ssim(earlier, frame)`` for each of the up
+        to ``half_window`` frames scored before it, oldest first."""
         if (frame.width, frame.height) != (meta.width, meta.height):
             raise InputError(
                 f"frame {frame.width}x{frame.height} does not match detection "
@@ -252,9 +269,25 @@ class StreamCorrelator:
                 f"frame dimensions changed mid-stream: {self._dims} -> "
                 f"{(frame.width, frame.height)}"
             )
-        if self._last_index is not None and meta.frame_index <= self._last_index:
-            raise SequencingError(
-                f"frame index {meta.frame_index} not after {self._last_index}"
+        p = self.cfg.ssim_params
+        luma = prepare_luma(frame, p)
+        back = tuple(ssim(earlier, luma, p) for earlier in self._lumas)
+        self._lumas.append(luma)
+        return back
+
+    def push_scored(
+        self, dets: FrameDetections, back: tuple[float, ...]
+    ) -> FilteredFrame | None:
+        """Push a frame's detections with its band row (``score_frame``'s
+        result at this or any wider half window)."""
+        meta = dets.meta
+        self._check_order(meta)
+        h = self.cfg.half_window
+        back = back[-h:]
+        if len(back) != min(self._n_pushed, h):
+            raise ValueError(
+                f"frame {meta.frame_index} needs {min(self._n_pushed, h)} "
+                f"similarities to the frames before it, got {len(back)}"
             )
         self._last_index = meta.frame_index
 
@@ -262,13 +295,9 @@ class StreamCorrelator:
             meta,
             tuple(sb for sb in dets.boxes if sb.confidence > self.cfg.confidence_gate),
         )
-        p = self.cfg.ssim_params
-        luma = prepare_luma(frame, p)
-        back = tuple(ssim(earlier, luma, p) for earlier in self._lumas)
-        self._lumas.append(luma)
         self._buffer.append((gated, back))
         self._n_pushed += 1
-        if self._n_pushed - 1 >= self._next_emit + self.cfg.half_window:
+        if self._n_pushed - 1 >= self._next_emit + h:
             return self._emit()
         return None
 
@@ -280,6 +309,12 @@ class StreamCorrelator:
         return out
 
     # internal ------------------------------------------------------------
+
+    def _check_order(self, meta: FrameMeta) -> None:
+        if self._last_index is not None and meta.frame_index <= self._last_index:
+            raise SequencingError(
+                f"frame index {meta.frame_index} not after {self._last_index}"
+            )
 
     def _base(self) -> int:
         return self._n_pushed - len(self._buffer)
@@ -307,21 +342,49 @@ class StreamCorrelator:
         return result
 
 
+def _check_lengths(frames: Sequence[GrayFrame], detections: Sequence[FrameDetections]) -> None:
+    if len(frames) != len(detections):
+        raise InputError(
+            f"{len(frames)} frames but {len(detections)} detection sets"
+        )
+
+
+def _drain(
+    correlator: StreamCorrelator, pushed: Iterable[FilteredFrame | None]
+) -> list[FilteredFrame]:
+    out = [r for r in pushed if r is not None]
+    out.extend(correlator.flush())
+    return out
+
+
 def process_sequence(
     frames: Sequence[GrayFrame],
     detections: Sequence[FrameDetections],
     cfg: IscuConfig | None = None,
 ) -> list[FilteredFrame]:
     """Batch wrapper over the streaming correlator; output order matches input."""
-    if len(frames) != len(detections):
-        raise InputError(
-            f"{len(frames)} frames but {len(detections)} detection sets"
-        )
+    _check_lengths(frames, detections)
     correlator = StreamCorrelator(cfg)
-    out: list[FilteredFrame] = []
-    for frame, dets in zip(frames, detections):
-        emitted = correlator.push_frame(frame, dets)
-        if emitted is not None:
-            out.append(emitted)
-    out.extend(correlator.flush())
-    return out
+    return _drain(correlator, map(correlator.push_frame, frames, detections))
+
+
+def sweep_sequence(
+    frames: Sequence[GrayFrame],
+    detections: Sequence[FrameDetections],
+    cfgs: Sequence[IscuConfig],
+) -> Iterator[list[FilteredFrame]]:
+    """``process_sequence`` at each config in turn, from one similarity band.
+
+    The band is scored once, at the widest half window, before the first
+    result; each config then replays ``push_scored`` over it. The configs
+    must share ``ssim_params``.
+    """
+    _check_lengths(frames, detections)
+    widest = max(cfgs, key=lambda c: c.half_window)
+    if any(c.ssim_params != widest.ssim_params for c in cfgs):
+        raise ValueError("sweep configs must share ssim_params")
+    scorer = StreamCorrelator(widest)
+    band = [scorer.score_frame(f, d.meta) for f, d in zip(frames, detections)]
+    for cfg in cfgs:
+        correlator = StreamCorrelator(cfg)
+        yield _drain(correlator, map(correlator.push_scored, detections, band))

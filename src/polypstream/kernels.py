@@ -4,6 +4,10 @@ One numpy implementation per kernel, in exact integer arithmetic, so results
 do not depend on the platform; the windowed similarity forms each window's
 value in floating point only after summing its integer moments exactly.
 Downsampling is one run sum, over the rows and then the columns, at any size.
+Global similarity splits its five moment sums: ``moments`` takes one frame's
+``Sx`` and ``Sxx`` once, and ``ssim_stats`` adds a pair's ``Sxy`` as one
+``float64`` dot product, exact because every partial sum of 8-bit products is
+an integer far below 2**53.
 """
 
 from __future__ import annotations
@@ -14,10 +18,13 @@ import numpy as np
 def luma(rgb: np.ndarray) -> np.ndarray:
     """Rec.601 luma of an (h, w, 3) uint8 raster, rounded half up."""
     # Rec.601 integer weights; +500 implements round-half-up after /1000.
-    r = rgb[:, :, 0].astype(np.uint32)
-    g = rgb[:, :, 1].astype(np.uint32)
-    b = rgb[:, :, 2].astype(np.uint32)
-    return ((299 * r + 587 * g + 114 * b + 500) // 1000).astype(np.uint8)
+    # One uint32 accumulator: at most 1000 * 255 + 500, no full-size casts.
+    acc = np.multiply(rgb[:, :, 0], 299, dtype=np.uint32)
+    acc += np.multiply(rgb[:, :, 1], 587, dtype=np.uint32)
+    acc += np.multiply(rgb[:, :, 2], 114, dtype=np.uint32)
+    acc += 500
+    acc //= 1000
+    return acc.astype(np.uint8)
 
 
 def _run_sums(arr: np.ndarray, target: int) -> tuple[np.ndarray, int]:
@@ -58,17 +65,24 @@ def box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
     return ((2 * cells.T + den) // (2 * den)).astype(np.uint8)
 
 
-def ssim_stats(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
-    """Global integer moment sums (Sx, Sy, Sxx, Syy, Sxy) of two uint8 images."""
-    a = x.astype(np.int64, copy=False).ravel()
-    b = y.astype(np.int64, copy=False).ravel()
-    return (
-        int(a.sum()),
-        int(b.sum()),
-        int((a * a).sum()),
-        int((b * b).sum()),
-        int((a * b).sum()),
-    )
+Moments = tuple[np.ndarray, int, int]
+
+
+def moments(gray: np.ndarray) -> Moments:
+    """One uint8 image's samples as a flat float64 vector, with Sx and Sxx.
+
+    Every product of two samples is at most 255**2 and every partial sum of
+    them an integer below 2**53 for any image under 1.3e11 samples, so dot
+    products of these vectors are exact in any summation order.
+    """
+    v = gray.astype(np.float64).ravel()
+    return v, int(gray.sum(dtype=np.int64)), int(v @ v)
+
+
+def ssim_stats(mx: Moments, my: Moments) -> tuple[int, int, int, int, int]:
+    """Global integer moment sums (Sx, Sy, Sxx, Syy, Sxy) of two images'
+    ``moments``; only Sxy is computed here."""
+    return mx[1], my[1], mx[2], my[2], int(mx[0] @ my[0])
 
 
 def _integral(img64: np.ndarray) -> np.ndarray:

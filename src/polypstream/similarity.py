@@ -4,12 +4,19 @@ Similarity compares luminance, contrast, and structure of two equally sized
 8-bit images. The default mode computes the three terms from whole-image
 statistics (population convention for variances); ``windowed`` mode averages
 the same product over sliding windows instead.
+
+A global score needs each frame's own sums once and one dot product per
+pair: a ``GrayFrame`` computes its ``moments`` on first use and keeps them,
+so a frame compared with several neighbours pays for them once.
+``prepare_luma`` always returns a new frame, so that cache lives only as
+long as the caller keeps the prepared frame, never on the caller's input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +52,11 @@ class GrayFrame:
 
     def same_size(self, other: "GrayFrame") -> bool:
         return self.width == other.width and self.height == other.height
+
+    @cached_property
+    def moments(self) -> kernels.Moments:
+        """``kernels.moments`` of the samples, computed on first use."""
+        return kernels.moments(self.samples)
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ def ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
             f"frame dimensions differ: {x.width}x{x.height} vs {y.width}x{y.height}"
         )
     if p.mode == "global":
-        sx, sy, sxx, syy, sxy = kernels.ssim_stats(x.samples, y.samples)
+        sx, sy, sxx, syy, sxy = kernels.ssim_stats(x.moments, y.moments)
         return _ssim_from_stats(sx, sy, sxx, syy, sxy, x.width * x.height, p.b1, p.b2, p.b3)
     if x.width < p.window_size or x.height < p.window_size:
         raise InputError(
@@ -145,9 +157,13 @@ def ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
 def prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:
     """Downsample a frame to the configured comparison size.
 
-    Never upsamples: frames already at or below the target size are
-    used as-is, keeping the similarity cost bounded for large inputs.
+    Never upsamples: frames already at or below the target size keep their
+    samples, keeping the similarity cost bounded for large inputs. The
+    result is always a new frame (sharing the read-only samples when no
+    resampling is needed), so its cached moments never outlive it.
     """
     tw = min(p.downsample_w, g.width)
     th = min(p.downsample_h, g.height)
+    if (tw, th) == (g.width, g.height):
+        return GrayFrame(g.width, g.height, g.samples)
     return downsample(g, tw, th)

@@ -21,7 +21,7 @@ from polypstream.geometry import (
     adaptive_iou_threshold,
     iou,
 )
-from polypstream.similarity import GrayFrame, SsimParams, prepare_luma, ssim
+from polypstream.similarity import GrayFrame, SsimParams, prepare_luma
 
 
 def naive_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
@@ -78,6 +78,30 @@ def naive_windowed_ssim(
     return total, count
 
 
+def naive_pair_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams) -> float:
+    """Global similarity of one pair: five int64 moment sums, then the
+    library's formula written out in its operation order (so the value is
+    bit-identical), sharing no kernel with the code it checks."""
+    if p.mode != "global":
+        raise ValueError("the reference correlator scores global mode only")
+    a = x.samples.astype(np.int64).ravel()
+    b = y.samples.astype(np.int64).ravel()
+    n = a.size
+    sx, sy = int(a.sum()), int(b.sum())
+    sxx, syy, sxy = int((a * a).sum()), int((b * b).sum()), int((a * b).sum())
+    mx = sx / n
+    my = sy / n
+    vx = max(sxx / n - mx * mx, 0.0)
+    vy = max(syy / n - my * my, 0.0)
+    cxy = sxy / n - mx * my
+    sdx = math.sqrt(vx)
+    sdy = math.sqrt(vy)
+    lum = (2.0 * mx * my + p.b1) / (mx * mx + my * my + p.b1)
+    con = (2.0 * sdx * sdy + p.b2) / (vx + vy + p.b2)
+    stru = (cxy + p.b3) / (sdx * sdy + p.b3)
+    return lum * con * stru
+
+
 def naive_filter_sequence(
     frames: list[GrayFrame],
     detections: list[FrameDetections],
@@ -85,7 +109,8 @@ def naive_filter_sequence(
 ) -> list[FilteredFrame]:
     """Reference correlator: materializes every window explicitly.
 
-    Re-derives similarity per pair with no caching and applies the noise
+    Re-derives similarity per pair with ``naive_pair_ssim`` (no caching,
+    no library kernel) and applies the noise
     elimination and missed-detection rules with straightforward loops.
     """
     cfg = cfg or IscuConfig()
@@ -119,7 +144,9 @@ def _naive_eliminate(t, neighbor_ids, lumas, gated, cfg):
     if not neighbor_ids:
         return list(center.boxes)
     similar = [
-        k for k in neighbor_ids if ssim(lumas[t], lumas[k], cfg.ssim_params) > cfg.similarity_threshold
+        k
+        for k in neighbor_ids
+        if naive_pair_ssim(lumas[t], lumas[k], cfg.ssim_params) > cfg.similarity_threshold
     ]
     kept = []
     for sb in center.boxes:

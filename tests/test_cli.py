@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import polypstream.cli as cli_mod
+from polypstream import correlator
 from polypstream.cli import run_cli
+from polypstream.config import derive_sweep_config
+from polypstream.correlator import IscuConfig, process_sequence
+from polypstream.evaluation import evaluate_sequences
 from polypstream.formats import (
     parse_detections,
+    parse_groundtruth,
+    read_frames,
     write_detections,
     write_frames,
     write_groundtruth,
@@ -21,7 +27,9 @@ from polypstream.synthetic import (
 )
 
 
-def make_scenario_dir(tmp_path, seed=0, n_frames=24, fp_rate=0.0, dropout=0.0):
+def make_scenario_dir(
+    tmp_path, seed=0, n_frames=24, fp_rate=0.0, dropout=0.0, scene_breaks=()
+):
     track = TrackSpec(
         start=BoundingBox(20.0, 20.0, 60.0, 60.0),
         velocity=(0.5, 0.3),
@@ -36,6 +44,7 @@ def make_scenario_dir(tmp_path, seed=0, n_frames=24, fp_rate=0.0, dropout=0.0):
         tracks=(track,),
         transient_fp_rate=fp_rate,
         tp_dropout_rate=dropout,
+        scene_break_frames=frozenset(scene_breaks),
     )
     sc = generate_scenario(cfg)
     root = tmp_path / f"scenario{seed}"
@@ -427,6 +436,66 @@ class TestSweepCommand:
         assert len(rows) == 4
         precisions = [row["pre_pct"] for row in rows]
         assert all(a <= b for a, b in zip(precisions, precisions[1:]))
+
+    @staticmethod
+    def sweep_args(root, half_windows, json_path):
+        return [
+            "sweep",
+            "--half-window",
+            half_windows,
+            "--frames",
+            str(root / "frames"),
+            "--detections",
+            str(root / "detections.txt"),
+            "--ground-truth",
+            str(root / "groundtruth.txt"),
+            "--json",
+            str(json_path),
+        ]
+
+    def test_rows_match_process_sequence_per_half_window(self, tmp_path):
+        n_frames = 30
+        root, _ = make_scenario_dir(
+            tmp_path, seed=4, n_frames=n_frames, fp_rate=0.3, dropout=0.1, scene_breaks=(13,)
+        )
+        out = tmp_path / "sweep.json"
+        # unsorted, and one half window longer than the sequence
+        half_windows = (3, 1, 4, 2, 40)
+        assert run_cli(self.sweep_args(root, ",".join(map(str, half_windows)), out)) == 0
+
+        frames = read_frames(root / "frames")
+        dets = parse_detections(root / "detections.txt", 160, 120, n_frames)
+        gts = parse_groundtruth(root / "groundtruth.txt", n_frames)
+        want = [
+            {
+                "half_window": n,
+                **evaluate_sequences(
+                    [(process_sequence(frames, dets, derive_sweep_config(IscuConfig(), n)), gts)]
+                ).to_dict(),
+            }
+            for n in half_windows
+        ]
+        assert json.loads(out.read_text())["sweep"] == json.loads(json.dumps(want))
+
+    def test_one_band_for_every_half_window(self, tmp_path, monkeypatch):
+        # each frame is prepared once and scored against the up to 4 frames
+        # before it, however many half windows are swept
+        n_frames = 12
+        root, _ = make_scenario_dir(tmp_path, seed=5, n_frames=n_frames)
+        calls = {"prepare_luma": 0, "ssim": 0}
+        for name in calls:
+            fn = getattr(correlator, name)
+
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(correlator, name, counted)
+        assert run_cli(self.sweep_args(root, "1,2,3,4", tmp_path / "sweep.json")) == 0
+        assert calls == {
+            "prepare_luma": n_frames,
+            "ssim": sum(min(i, 4) for i in range(n_frames)),
+        }
 
     def test_bad_list_exit_1(self, tmp_path, capsys):
         root, _ = make_scenario_dir(tmp_path, seed=3, n_frames=10)

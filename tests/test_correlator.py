@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,9 @@ from polypstream.correlator import (
     correct_missed,
     eliminate_noise,
     process_sequence,
+    sweep_sequence,
 )
+from polypstream.config import derive_sweep_config
 from polypstream.errors import InputError, SequencingError
 from polypstream.geometry import (
     BoundingBox,
@@ -289,6 +293,18 @@ class TestStreaming:
         with pytest.raises(SequencingError):
             c.push_frame(flat_frame(), dets(5))
 
+    def test_rejected_index_leaves_no_state(self):
+        frames = [noise_frame(i) for i in range(8)]
+        clean = process_sequence(frames, [dets(i, (10, 10, 20, 20)) for i in range(8)], small_cfg())
+        c = StreamCorrelator(small_cfg())
+        out = []
+        for i, f in enumerate(frames):
+            if i == 4:
+                with pytest.raises(SequencingError):
+                    c.push_frame(noise_frame(99), dets(3))
+            out.append(c.push_frame(f, dets(i, (10, 10, 20, 20))))
+        assert [r for r in out if r is not None] + c.flush() == clean
+
     def test_dimension_change_rejected(self):
         c = StreamCorrelator(small_cfg())
         c.push_frame(flat_frame(), dets(0))
@@ -375,6 +391,58 @@ class TestStreamBatchOracle:
         batch = process_sequence(frames, det_list, cfg)
         naive = naive_filter_sequence(frames, det_list, cfg)
         assert batch == naive
+
+
+class TestSweepSequence:
+    def test_each_config_matches_process_sequence(self):
+        sc = tiny_scenario(5, n_frames=30)
+        frames, det_list = list(sc.frames), list(sc.raw_detections)
+        # unsorted, and one half window longer than the sequence
+        cfgs = [derive_sweep_config(scenario_cfg(), n) for n in (3, 1, 40, 4, 2)]
+        swept = list(sweep_sequence(frames, det_list, cfgs))
+        assert swept == [process_sequence(frames, det_list, cfg) for cfg in cfgs]
+        assert swept[1] == naive_filter_sequence(frames, det_list, cfgs[1])
+
+    def test_band_row_keeps_last_half_window_entries(self):
+        wide = StreamCorrelator(small_cfg(half_window=4))
+        narrow = StreamCorrelator(small_cfg(half_window=2))
+        for i in range(6):
+            frame = noise_frame(i)
+            row = wide.score_frame(frame, dets(i).meta)
+            assert len(row) == min(i, 4)
+            assert row[-2:] == narrow.score_frame(frame, dets(i).meta)
+
+    def test_short_band_row_rejected(self):
+        c = StreamCorrelator(small_cfg(half_window=2))
+        c.push_scored(dets(0), ())
+        with pytest.raises(ValueError, match="needs 1 similarities"):
+            c.push_scored(dets(1), ())
+
+    def test_configs_must_share_ssim_params(self):
+        from polypstream.similarity import SsimParams
+
+        other = small_cfg(ssim_params=SsimParams(downsample_w=W // 2, downsample_h=H // 2))
+        with pytest.raises(ValueError):
+            list(sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other]))
+
+
+class TestMemory:
+    def test_moments_cache_bounded_by_window(self):
+        # frames already at comparison size: a cache of float64 moments on
+        # every input frame would hold 400 * 153.6 kB, about 61 MB
+        r = np.random.default_rng(0)
+        frames = [
+            GrayFrame.from_array(r.integers(0, 256, size=(120, 160), dtype=np.uint8))
+            for _ in range(400)
+        ]
+        det_list = [FrameDetections(FrameMeta(160, 120, i), ()) for i in range(400)]
+        tracemalloc.start()
+        try:
+            process_sequence(frames, det_list, IscuConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestOutputInvariants:

@@ -134,10 +134,8 @@ class TestLuma:
 
 
 class TestSsimKernels:
-    def test_ssim_stats_exact(self):
-        r = rng(2)
-        x = random_gray(r, 120, 160)
-        y = random_gray(r, 120, 160)
+    @staticmethod
+    def assert_stats_exact(x, y):
         a = [int(v) for v in x.ravel()]
         b = [int(v) for v in y.ravel()]
         want = (
@@ -147,7 +145,23 @@ class TestSsimKernels:
             sum(v * v for v in b),
             sum(u * v for u, v in zip(a, b)),
         )
-        assert kernels.ssim_stats(x, y) == want
+        got = kernels.ssim_stats(kernels.moments(x), kernels.moments(y))
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+    def test_ssim_stats_exact(self):
+        r = rng(2)
+        self.assert_stats_exact(random_gray(r, 120, 160), random_gray(r, 120, 160))
+
+    def test_ssim_stats_exact_all_255(self):
+        full = np.full((120, 160), 255, dtype=np.uint8)
+        self.assert_stats_exact(full, full.copy())
+
+    def test_ssim_stats_exact_at_full_frame_size(self):
+        # Sxx = Syy = Sxy = 255**2 * 1280 * 1080, about 9.0e10: the largest
+        # sums a frame at the paper's resolution reaches
+        full = np.full((1080, 1280), 255, dtype=np.uint8)
+        self.assert_stats_exact(full, full.copy())
 
     def test_windowed_matches_naive_loop(self):
         r = rng(3)

@@ -99,6 +99,16 @@ class TestDownsample:
         out = prepare_luma(g, SsimParams())
         assert (out.width, out.height) == (10, 10)
 
+    def test_prepare_luma_returns_new_frame_over_same_samples(self):
+        # a frame already at comparison size is wrapped, not copied, so the
+        # moments ssim caches on the result never land on the caller's frame
+        g = random_frame(np.random.default_rng(4), 120, 160)
+        out = prepare_luma(g, SsimParams())
+        assert out is not g
+        assert out.samples is g.samples
+        ssim(out, out)
+        assert "moments" in vars(out) and "moments" not in vars(g)
+
 
 class TestSsim:
     def test_self_similarity(self):
