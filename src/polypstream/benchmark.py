@@ -16,6 +16,7 @@ import numpy as np
 from .correlator import IscuConfig, StreamCorrelator
 from .geometry import BoundingBox, BoxOrigin, FrameDetections, FrameMeta, ScoredBox
 from .similarity import GrayFrame
+from .synthetic import _bilinear_upsample
 
 
 @dataclass(frozen=True)
@@ -34,20 +35,10 @@ def make_bench_frames(
     rng = np.random.default_rng([seed, 7])
     base = rng.uniform(40.0, 215.0, size=(6, 8))
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(6, 8))
-    gy = np.linspace(0, 5, height)
-    gx = np.linspace(0, 7, width)
-    y0 = np.floor(gy).astype(np.int64)
-    x0 = np.floor(gx).astype(np.int64)
-    y1 = np.minimum(y0 + 1, 5)
-    x1 = np.minimum(x0 + 1, 7)
-    fy = (gy - y0)[:, None]
-    fx = (gx - x0)[None, :]
     frames = []
     for t in range(pool_size):
         grid = base + 4.0 * np.sin(2.0 * math.pi * t / pool_size + phase)
-        top = grid[np.ix_(y0, x0)] * (1 - fx) + grid[np.ix_(y0, x1)] * fx
-        bot = grid[np.ix_(y1, x0)] * (1 - fx) + grid[np.ix_(y1, x1)] * fx
-        img = top * (1 - fy) + bot * fy
+        img = _bilinear_upsample(grid, width, height)
         frames.append(GrayFrame.from_array(np.clip(np.rint(img), 0, 255).astype(np.uint8)))
     return frames
 

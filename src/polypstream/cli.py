@@ -90,6 +90,17 @@ def _load_with_context(path: str, loader, *load_args, **load_kwargs):
         raise InputError(f"{path}: {exc}") from None
 
 
+def _load_sequence(frames_dir: str, det_path: str | None):
+    """A directory's frames and, when ``det_path`` is given, its detection
+    records parsed at the first frame's size and checked against the frame
+    count (else ``None``)."""
+    frames = read_frames(frames_dir)
+    if det_path is None:
+        return frames, None
+    w, h = frames[0].width, frames[0].height
+    return frames, _load_with_context(det_path, parse_detections, w, h, len(frames))
+
+
 def _format_value(value) -> str:
     if value is None:
         return "n/a"
@@ -135,9 +146,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     if not frames_dir or not det_path or not out_path:
         raise InputError("filter needs --frames, --detections and --output")
     _check_writable(out_path)
-    frames = read_frames(frames_dir)
-    w, h = frames[0].width, frames[0].height
-    dets = _load_with_context(det_path, parse_detections, w, h, len(frames))
+    frames, dets = _load_sequence(frames_dir, det_path)
     results = process_sequence(frames, dets, rc.iscu)
     write_detections(out_path, results, include_origin=True)
     kept = sum(len(r.kept) for r in results)
@@ -239,13 +248,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     _check_writable(args.json)
     if args.frames:
-        frames = read_frames(args.frames)
-        w, h = frames[0].width, frames[0].height
-        if args.detections:
-            dets = _load_with_context(args.detections, parse_detections, w, h, len(frames))
-        else:
-            dets = make_bench_detections(w, h, len(frames))
-        pool = frames
+        pool, dets = _load_sequence(args.frames, args.detections)
+        w, h = pool[0].width, pool[0].height
+        if dets is None:
+            dets = make_bench_detections(w, h, len(pool))
     else:
         if args.synthetic_frames < 1:
             raise InputError(f"--synthetic-frames must be >= 1, got {args.synthetic_frames}")
@@ -273,9 +279,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise InputError(f"half window must be >= 1, got {n}")
     _check_writable(args.json)
 
-    frames = read_frames(args.frames)
-    w, h = frames[0].width, frames[0].height
-    dets = _load_with_context(args.detections, parse_detections, w, h, len(frames))
+    frames, dets = _load_sequence(args.frames, args.detections)
     gts = _load_with_context(args.ground_truth, parse_groundtruth, len(frames))
 
     cfgs = [derive_sweep_config(rc.iscu, n) for n in half_windows]

@@ -3,7 +3,7 @@
 A config file holds ``key = value`` lines (``#`` comments allowed). The
 tunable keys are the fields of :class:`IscuConfig` (except ``ssim_params``)
 and of :class:`SsimParams`; a SsimParams field takes the ``ssim_`` prefix
-(``ssim_k1``, ``ssim_mode``, ...) except ``downsample_w``/``downsample_h``.
+(``ssim_k1``, ``ssim_k2``) except ``downsample_w``/``downsample_h``.
 Each key has the type of its field's default, and an absent key keeps that
 default. The path keys ``frames_dir``, ``detections`` and ``output`` name the
 inputs and output of ``filter``. Unknown keys are rejected.

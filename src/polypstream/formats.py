@@ -322,7 +322,8 @@ def read_image(path: str | Path) -> GrayFrame:
 
 
 def read_frames(directory: str | Path) -> list[GrayFrame]:
-    """Read a directory of index-named frames, validating order and geometry."""
+    """Read a directory of frames named by index from 0, validating that the
+    indices are contiguous and that every frame has the first frame's size."""
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(f"{directory}: not a directory")
@@ -337,19 +338,18 @@ def read_frames(directory: str | Path) -> list[GrayFrame]:
         indexed[idx] = entry
     if not indexed:
         raise InputError(f"{directory}: no .pgm/.ppm frames found")
-    first = min(indexed)
     last = max(indexed)
-    missing = [i for i in range(first, last + 1) if i not in indexed]
+    missing = [i for i in range(last + 1) if i not in indexed]
     if missing:
         raise InputError(f"{directory}: missing frame index {missing[0]}")
     frames: list[GrayFrame] = []
-    for i in range(first, last + 1):
+    for i in range(last + 1):
         frame = read_image(indexed[i])
         if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
             raise InputError(
                 f"{directory}: mixed frame dimensions: {indexed[i].name} is "
                 f"{frame.width}x{frame.height}, expected {frames[0].width}x{frames[0].height} "
-                f"as in {indexed[first].name}"
+                f"as in {indexed[0].name}"
             )
         frames.append(frame)
     return frames

@@ -1,13 +1,11 @@
 """Hot numeric kernels: luma, area downsampling and similarity statistics.
 
 One numpy implementation per kernel, in exact integer arithmetic, so results
-do not depend on the platform; the windowed similarity forms each window's
-value in floating point only after summing its integer moments exactly.
-Downsampling is one run sum, over the rows and then the columns, at any size.
-Global similarity splits its five moment sums: ``moments`` takes one frame's
-``Sx`` and ``Sxx`` once, and ``ssim_stats`` adds a pair's ``Sxy`` as one
-``float64`` dot product, exact because every partial sum of 8-bit products is
-an integer far below 2**53.
+do not depend on the platform. Downsampling is one run sum, over the rows and
+then the columns, at any size. Similarity splits its five global moment sums:
+``moments`` takes one frame's ``Sx`` and ``Sxx`` once, and ``ssim_stats``
+adds a pair's ``Sxy`` as one ``float64`` dot product, exact because every
+partial sum of 8-bit products is an integer far below 2**53.
 """
 
 from __future__ import annotations
@@ -83,45 +81,3 @@ def ssim_stats(mx: Moments, my: Moments) -> tuple[int, int, int, int, int]:
     """Global integer moment sums (Sx, Sy, Sxx, Syy, Sxy) of two images'
     ``moments``; only Sxy is computed here."""
     return mx[1], my[1], mx[2], my[2], int(mx[0] @ my[0])
-
-
-def _integral(img64: np.ndarray) -> np.ndarray:
-    h, w = img64.shape
-    out = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(img64, axis=0, dtype=np.int64), axis=1, out=out[1:, 1:])
-    return out
-
-
-def windowed_ssim(
-    x: np.ndarray, y: np.ndarray, win: int, stride: int, b1: float, b2: float, b3: float
-) -> tuple[float, int]:
-    """Sum and count of per-window structural similarity values."""
-    h, w = x.shape
-    a = x.astype(np.int64)
-    b = y.astype(np.int64)
-    iix = _integral(a)
-    iiy = _integral(b)
-    iixx = _integral(a * a)
-    iiyy = _integral(b * b)
-    iixy = _integral(a * b)
-    rows = np.arange(0, h - win + 1, stride)
-    cols = np.arange(0, w - win + 1, stride)
-    r0, c0 = np.meshgrid(rows, cols, indexing="ij")
-    r1, c1 = r0 + win, c0 + win
-
-    def wsum(ii: np.ndarray) -> np.ndarray:
-        return ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
-
-    n = float(win * win)
-    sx = wsum(iix) / n
-    sy = wsum(iiy) / n
-    vx = np.maximum(wsum(iixx) / n - sx * sx, 0.0)
-    vy = np.maximum(wsum(iiyy) / n - sy * sy, 0.0)
-    cxy = wsum(iixy) / n - sx * sy
-    sdx = np.sqrt(vx)
-    sdy = np.sqrt(vy)
-    lum = (2.0 * sx * sy + b1) / (sx * sx + sy * sy + b1)
-    con = (2.0 * sdx * sdy + b2) / (vx + vy + b2)
-    stru = (cxy + b3) / (sdx * sdy + b3)
-    vals = lum * con * stru
-    return float(vals.sum()), int(vals.size)

@@ -1,9 +1,8 @@
 """Grayscale frames, deterministic downsampling, and structural similarity.
 
 Similarity compares luminance, contrast, and structure of two equally sized
-8-bit images. The default mode computes the three terms from whole-image
-statistics (population convention for variances); ``windowed`` mode averages
-the same product over sliding windows instead.
+8-bit images, each term from whole-image statistics (population convention
+for variances).
 
 A global score needs each frame's own sums once and one dot product per
 pair: a ``GrayFrame`` computes its ``moments`` on first use and keeps them,
@@ -59,36 +58,32 @@ class GrayFrame:
         return kernels.moments(self.samples)
 
 
+# The range of the uint8 samples; a float, so (k * range) ** 2 is a float.
+_DYNAMIC_RANGE = 255.0
+
+
 @dataclass(frozen=True)
 class SsimParams:
-    """Constants and mode for the similarity computation."""
+    """Constants and comparison size for the similarity computation."""
 
     k1: float = 0.01
     k2: float = 0.03
-    dynamic_range: float = 255.0
-    mode: str = "global"  # "global" or "windowed"
-    window_size: int = 8
-    stride: int = 4
     downsample_w: int = 160
     downsample_h: int = 120
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0 or self.k2 <= 0 or self.dynamic_range <= 0:
-            raise ValueError("k1, k2 and dynamic_range must be positive")
-        if self.mode not in ("global", "windowed"):
-            raise ValueError(f"mode must be 'global' or 'windowed', got {self.mode!r}")
-        if self.window_size <= 0 or self.stride <= 0:
-            raise ValueError("window_size and stride must be positive")
+        if self.k1 <= 0 or self.k2 <= 0:
+            raise ValueError("k1 and k2 must be positive")
         if self.downsample_w <= 0 or self.downsample_h <= 0:
             raise ValueError("downsample dimensions must be positive")
 
     @property
     def b1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
+        return (self.k1 * _DYNAMIC_RANGE) ** 2
 
     @property
     def b2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
+        return (self.k2 * _DYNAMIC_RANGE) ** 2
 
     @property
     def b3(self) -> float:
@@ -141,17 +136,8 @@ def ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
         raise InputError(
             f"frame dimensions differ: {x.width}x{x.height} vs {y.width}x{y.height}"
         )
-    if p.mode == "global":
-        sx, sy, sxx, syy, sxy = kernels.ssim_stats(x.moments, y.moments)
-        return _ssim_from_stats(sx, sy, sxx, syy, sxy, x.width * x.height, p.b1, p.b2, p.b3)
-    if x.width < p.window_size or x.height < p.window_size:
-        raise InputError(
-            f"windowed mode needs frames of at least {p.window_size}x{p.window_size}"
-        )
-    total, count = kernels.windowed_ssim(
-        x.samples, y.samples, p.window_size, p.stride, p.b1, p.b2, p.b3
-    )
-    return total / count
+    sx, sy, sxx, syy, sxy = kernels.ssim_stats(x.moments, y.moments)
+    return _ssim_from_stats(sx, sy, sxx, syy, sxy, x.width * x.height, p.b1, p.b2, p.b3)
 
 
 def prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:

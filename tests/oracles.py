@@ -42,48 +42,10 @@ def naive_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float
     return lum * con * stru
 
 
-def naive_windowed_ssim(
-    x: np.ndarray, y: np.ndarray, win: int, stride: int, b1: float, b2: float, b3: float
-) -> tuple[float, int]:
-    """Per-window loop over the integer moment sums of every ``win``-square
-    window, stepped by ``stride``; returns the sum and count of window values."""
-    h, w = x.shape
-    n = float(win * win)
-    total = 0.0
-    count = 0
-    for r in range(0, h - win + 1, stride):
-        for c in range(0, w - win + 1, stride):
-            sx = sy = sxx = syy = sxy = 0
-            for i in range(r, r + win):
-                for j in range(c, c + win):
-                    a = int(x[i, j])
-                    b = int(y[i, j])
-                    sx += a
-                    sy += b
-                    sxx += a * a
-                    syy += b * b
-                    sxy += a * b
-            mx = sx / n
-            my = sy / n
-            vx = max(sxx / n - mx * mx, 0.0)
-            vy = max(syy / n - my * my, 0.0)
-            cxy = sxy / n - mx * my
-            sdx = math.sqrt(vx)
-            sdy = math.sqrt(vy)
-            lum = (2.0 * mx * my + b1) / (mx * mx + my * my + b1)
-            con = (2.0 * sdx * sdy + b2) / (vx + vy + b2)
-            stru = (cxy + b3) / (sdx * sdy + b3)
-            total += lum * con * stru
-            count += 1
-    return total, count
-
-
 def naive_pair_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams) -> float:
     """Global similarity of one pair: five int64 moment sums, then the
     library's formula written out in its operation order (so the value is
     bit-identical), sharing no kernel with the code it checks."""
-    if p.mode != "global":
-        raise ValueError("the reference correlator scores global mode only")
     a = x.samples.astype(np.int64).ravel()
     b = y.samples.astype(np.int64).ravel()
     n = a.size

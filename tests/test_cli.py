@@ -119,6 +119,24 @@ class TestFilterCommand:
         assert decoded == []
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    def test_frames_not_starting_at_zero_exit_1(self, tmp_path, capsys):
+        root, _ = make_scenario_dir(tmp_path, n_frames=6)
+        (root / "frames" / "000000.pgm").unlink()
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{i} 20 20 40 40 0.9\n" for i in range(1, 6)))
+        code = run_cli(
+            [
+                "filter",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(det),
+                "--output",
+                str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 1
+        assert "missing frame index 0" in capsys.readouterr().err
 
     def test_record_wholly_above_frame_exit_1(self, tmp_path, capsys):
         root, _ = make_scenario_dir(tmp_path, n_frames=8)

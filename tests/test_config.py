@@ -4,6 +4,7 @@ import pytest
 
 from polypstream import cli
 from polypstream.config import (
+    CONFIG_KEYS,
     build_run_config,
     derive_sweep_config,
     parse_config_file,
@@ -23,8 +24,6 @@ def _tunable_fields():
 
 
 def _non_default(f):
-    if f.name == "mode":
-        return "windowed"
     return f.default + 1 if isinstance(f.default, int) else f.default / 2
 
 
@@ -89,6 +88,33 @@ class TestConfigFile:
 
 class TestSchema:
     """Every dataclass field is reachable, by its key and by its flag."""
+
+    def test_keys_pinned(self):
+        # a new tunable is a deliberate edit here, not a side effect of a field
+        assert set(CONFIG_KEYS) == {
+            "half_window",
+            "similarity_threshold",
+            "confidence_gate",
+            "fc_quorum",
+            "fill_quorum",
+            "fill_iou",
+            "ssim_k1",
+            "ssim_k2",
+            "downsample_w",
+            "downsample_h",
+        }
+
+    @pytest.mark.parametrize(
+        "key", ["ssim_mode", "ssim_window_size", "ssim_stride", "ssim_dynamic_range"]
+    )
+    def test_removed_similarity_keys_rejected(self, tmp_path, capsys, key):
+        flag = "--" + key.replace("_", "-")
+        assert cli.run_cli(["filter", flag, "8"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 8\n")
+        assert cli.run_cli(["ssim", "--config", str(path), "a.pgm", "b.pgm"]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
     @_TUNABLES
     def test_config_file_line_sets_field(self, tmp_path, key, owner, f):

@@ -206,6 +206,12 @@ class TestReadFrames:
         with pytest.raises(InputError, match="missing frame index 1"):
             read_frames(tmp_path)
 
+    def test_first_index_must_be_zero(self, tmp_path):
+        # frames 1..3 are not renumbered from 0: detection indices refer to files
+        self.write_seq(tmp_path, 4, skip=0)
+        with pytest.raises(InputError, match="missing frame index 0"):
+            read_frames(tmp_path)
+
     def test_mixed_dimensions_rejected(self, tmp_path):
         write_pgm(tmp_path / "000000.pgm", self.frame(0))
         write_pgm(

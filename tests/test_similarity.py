@@ -53,7 +53,13 @@ class TestSsimParams:
         with pytest.raises(ValueError):
             SsimParams(k1=0)
         with pytest.raises(ValueError):
-            SsimParams(mode="gaussian")
+            SsimParams(downsample_w=0)
+
+    @pytest.mark.parametrize("name", ["mode", "window_size", "stride", "dynamic_range"])
+    def test_removed_fields_rejected(self, name):
+        # global similarity over 8-bit samples is the only definition
+        with pytest.raises(TypeError):
+            SsimParams(**{name: 1})
 
 
 class TestToLuma:
@@ -173,17 +179,3 @@ class TestSsim:
                 vals.append(ssim(x, y))
             means.append(np.mean(vals))
         assert means[0] > means[1] > means[2]
-
-    def test_windowed_mode_runs_and_differs(self):
-        r = np.random.default_rng(3)
-        x = random_frame(r, 32, 32)
-        y = random_frame(r, 32, 32)
-        pw = SsimParams(mode="windowed")
-        assert ssim(x, x, pw) == pytest.approx(1.0, abs=1e-9)
-        assert -1.0 < ssim(x, y, pw) <= 1.0
-
-    def test_windowed_needs_room(self):
-        p = SsimParams(mode="windowed", window_size=8)
-        g = gray(np.zeros((4, 4)))
-        with pytest.raises(InputError):
-            ssim(g, g, p)
