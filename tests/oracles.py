@@ -18,8 +18,6 @@ from polypstream.geometry import (
     BoxOrigin,
     FrameDetections,
     ScoredBox,
-    adaptive_iou_threshold,
-    iou,
 )
 from polypstream.similarity import GrayFrame, SsimParams, prepare_luma
 
@@ -64,6 +62,24 @@ def naive_pair_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams) -> float:
     return lum * con * stru
 
 
+def _iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection-over-union, written out in the library's operation order
+    (min/max, subtract, multiply, divide) so the value is bit-identical."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    inter = ix * iy
+    return inter / (area_a + area_b - inter)
+
+
+def _adaptive_threshold(box: BoundingBox, width: int, height: int) -> float:
+    """Half the sum of the box's width and height as fractions of the frame."""
+    return 0.5 * ((box.x_max - box.x_min) / width + (box.y_max - box.y_min) / height)
+
+
 def naive_filter_sequence(
     frames: list[GrayFrame],
     detections: list[FrameDetections],
@@ -72,8 +88,9 @@ def naive_filter_sequence(
     """Reference correlator: materializes every window explicitly.
 
     Re-derives similarity per pair with ``naive_pair_ssim`` (no caching,
-    no library kernel) and applies the noise
-    elimination and missed-detection rules with straightforward loops.
+    no library kernel) and applies the noise elimination and
+    missed-detection rules with straightforward loops over its own scalar
+    ``_iou`` and ``_adaptive_threshold``.
     """
     cfg = cfg or IscuConfig()
     if len(frames) != len(detections):
@@ -112,12 +129,12 @@ def _naive_eliminate(t, neighbor_ids, lumas, gated, cfg):
     ]
     kept = []
     for sb in center.boxes:
-        thr = adaptive_iou_threshold(sb.box, center.meta)
+        thr = _adaptive_threshold(sb.box, center.meta.width, center.meta.height)
         if similar:
             count = sum(
                 1
                 for k in similar
-                if any(iou(other.box, sb.box) > thr for other in gated[k].boxes)
+                if any(_iou(other.box, sb.box) > thr for other in gated[k].boxes)
             )
             if count > len(similar) / 2:
                 kept.append(sb)
@@ -129,7 +146,7 @@ def _naive_eliminate(t, neighbor_ids, lumas, gated, cfg):
             count = sum(
                 1
                 for k in neighbor_ids
-                if any(iou(other.box, sb.box) > thr for other in gated[k].boxes)
+                if any(_iou(other.box, sb.box) > thr for other in gated[k].boxes)
             )
             if count >= quorum:
                 kept.append(sb)
@@ -154,7 +171,7 @@ def _naive_fill(t, neighbor_ids, gated, cfg):
                 for obi, cand in enumerate(gated[oi].boxes):
                     if (oi, obi) in claimed:
                         continue
-                    v = iou(seed.box, cand.box)
+                    v = _iou(seed.box, cand.box)
                     if v > best_v:
                         best, best_v = obi, v
                 if best is not None:
@@ -172,7 +189,7 @@ def _naive_fill(t, neighbor_ids, gated, cfg):
                 sum(b.x_max for b in boxes) / len(boxes),
                 sum(b.y_max for b in boxes) / len(boxes),
             )
-            if any(iou(mean, sb.box) > cfg.fill_iou for sb in gated[t].boxes):
+            if any(_iou(mean, sb.box) > cfg.fill_iou for sb in gated[t].boxes):
                 continue
             added.append(
                 ScoredBox(
