@@ -146,7 +146,10 @@ def parse_detections(
         height = max(1, math.ceil(max((r[5] for r in records), default=1)))
     per_frame: dict[int, list[ScoredBox]] = {}
     for line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin in records:
-        clipped = clip_corners(x_min, y_min, x_max, y_max, width, height)
+        try:
+            clipped = clip_corners(x_min, y_min, x_max, y_max, width, height)
+        except ValueError as exc:
+            raise InputError(f"line {line_no}: {exc}") from None
         if clipped is None:
             raise InputError(
                 f"line {line_no}: box lies entirely outside the {width}x{height} frame"

@@ -156,6 +156,25 @@ class TestFilterCommand:
         assert code == 1
         assert "line 2: box lies entirely outside the 160x120 frame" in capsys.readouterr().err
 
+    def test_record_area_underflow_exit_1(self, tmp_path, capsys):
+        # 1e-200 * 1e-200 is 0.0 in float64: IoU on such boxes would be 0/0
+        root, _ = make_scenario_dir(tmp_path, n_frames=20)
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{i} 0 0 1e-200 1e-200 0.9\n" for i in range(7)))
+        code = run_cli(
+            [
+                "filter",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(det),
+                "--output",
+                str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 1
+        assert "line 1: box area underflows to 0" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def _write_pair(self, tmp_path, det_rows, gt_rows):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polypstream import correlator
 from polypstream.correlator import (
@@ -354,6 +354,59 @@ class TestStreaming:
         assert all(len(r.kept) == 1 and r.added == () and r.removed_count == 0 for r in out)
 
 
+# Adversarial differential cases: 8x6 frames, already at comparison size.
+AW, AH = 8, 6
+# Boxes on the decision boundaries of both passes.
+FILL_EDGE = ((0, 0, 1, 1), (0, 0, 2, 1))  # IoU exactly 0.5 = fill_iou: no claim
+TIE_SEED, TIE_A, TIE_B = (1, 1, 4, 4), (0, 1, 4, 4), (1, 1, 5, 4)  # both 0.75 to the seed
+ON_EDGE = (AW - 3, AH - 2, AW, AH)
+FRAME_SIZED = (0, 0, AW, AH)  # threshold 1.0: never supported
+SUB_PIXEL = (1, 1, 1 + 1e-5, 1 + 1e-5)  # area 1e-10
+BOUNDARY_BOXES = (*FILL_EDGE, TIE_SEED, TIE_A, TIE_B, ON_EDGE, FRAME_SIZED, SUB_PIXEL)
+
+
+def scene_frame(scene):
+    """Frames of one scene are identical; frames of different scenes are
+    dissimilar noise, which breaks the scene."""
+    r = np.random.default_rng(scene)
+    return GrayFrame.from_array(r.integers(0, 256, size=(AH, AW), dtype=np.uint8))
+
+
+@st.composite
+def integer_box(draw):
+    x0, y0 = draw(st.integers(0, AW - 1)), draw(st.integers(0, AH - 1))
+    return (x0, y0, draw(st.integers(x0 + 1, AW)), draw(st.integers(y0 + 1, AH)))
+
+
+@st.composite
+def adversarial_sequence(draw):
+    """(half window, scene per frame, boxes per frame), from 0 frames up to
+    a few more than one window."""
+    h = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 2 * h + 3))
+    scenes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    box = st.one_of(st.sampled_from(BOUNDARY_BOXES), integer_box())
+    boxes = draw(st.lists(st.lists(box, max_size=4), min_size=n, max_size=n))
+    return h, scenes, boxes
+
+
+def _adversarial_case(h, scenes, boxes):
+    frames = [scene_frame(s) for s in scenes]
+    det_list = [
+        FrameDetections(
+            FrameMeta(AW, AH, i),
+            tuple(ScoredBox(BoundingBox(*b), 0.9, BoxOrigin.DETECTOR) for b in frame_boxes),
+        )
+        for i, frame_boxes in enumerate(boxes)
+    ]
+    return frames, det_list, derive_sweep_config(IscuConfig(), h)
+
+
+def _with_gap(h, box, center, n):
+    """`box` in every frame but `center`."""
+    return [[] if i == center else [box] for i in range(n)]
+
+
 class TestStreamBatchOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_three_way_equivalence(self, seed):
@@ -391,6 +444,24 @@ class TestStreamBatchOracle:
         batch = process_sequence(frames, det_list, cfg)
         naive = naive_filter_sequence(frames, det_list, cfg)
         assert batch == naive
+
+    @given(adversarial_sequence())
+    @settings(max_examples=200, deadline=None)
+    @example((2, [0] * 7, [[(2, 1, 6, 5)]] * 7))  # identical boxes in every frame
+    @example((3, [0] * 7, [[(0, 0, 1, 1)], [(0, 0, 2, 1)]] * 3 + [[(0, 0, 1, 1)]]))
+    @example((1, [0] * 3, [[TIE_SEED], [], [TIE_A, TIE_B]]))  # first of two equal IoUs
+    @example((2, [0] * 5, [[TIE_A, TIE_B], [TIE_SEED], [], [TIE_SEED], [TIE_B, TIE_A]]))
+    @example((2, [0] * 6, [[ON_EDGE, FRAME_SIZED]] * 6))
+    @example((3, [0, 1, 2, 0, 1, 2, 0, 1], [[ON_EDGE]] * 8))  # no similar neighbour
+    @example((4, [0, 0, 1, 1, 1, 0, 0], [[ON_EDGE], [], [ON_EDGE]] * 2 + [[]]))  # short
+    @example((2, [0] * 5, _with_gap(2, SUB_PIXEL, 2, 5)))
+    @example((3, [0] * 9, [[(0, 0, 4, 3), (4, 3, 8, 6)]] * 9))  # integer, edge-touching
+    @example((1, [], []))
+    def test_adversarial_boxes(self, case):
+        frames, det_list, cfg = _adversarial_case(*case)
+        assert process_sequence(frames, det_list, cfg) == naive_filter_sequence(
+            frames, det_list, cfg
+        )
 
 
 class TestSweepSequence:

@@ -39,6 +39,8 @@ class TestBoundingBox:
     def test_rejects_zero_area(self):
         with pytest.raises(ValueError):
             box(5, 5, 5, 10)
+        with pytest.raises(ValueError, match="underflows"):
+            box(0, 0, 1e-200, 1e-200)
 
     def test_rejects_negative_and_nonfinite(self):
         with pytest.raises(ValueError):
