@@ -11,11 +11,20 @@ center frame. Two independent passes run per center:
   the center frame are interpolated as their coordinate-wise mean.
 
 Both passes read the original (confidence-gated) detections of every frame;
-elimination never feeds correction. A window carries these detections and
-each frame's similarity to the center as plain data, read from the
-*similarity band*: each frame's similarity to the frames before it, scored
-once as the frame arrives. ``sweep_sequence`` scores one band and replays it
-for several half windows.
+elimination never feeds correction. A window carries these detections, each
+frame's similarity to the center and each frame's *overlap facts* as plain
+data, all scored once per frame pair as the later frame arrives:
+
+* the *similarity band* holds each frame's similarity to the frames before
+  it; ``sweep_sequence`` scores one band and replays it for several half
+  windows;
+* the overlap facts come from one IoU matrix between a frame's boxes and
+  those of the up to ``2*half_window`` frames before it. They give each box
+  its *support* (the frames holding a box above the box's own adaptive
+  threshold) and its *fill partners* (the boxes above ``fill_iou``), on both
+  sides of every pair. Elimination counts support frames among the pool;
+  correction's greedy claim loop reads the partner lists. Scalar ``iou`` is
+  left only to check interpolated boxes against the center's detections.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InputError, SequencingError
 from .geometry import (
@@ -73,12 +84,17 @@ class CorrelationWindow:
     """An ordered run of frames' detections with a designated center.
 
     ``similarity[i]`` is frame ``i``'s similarity to the center frame; the
-    center's own entry is unused.
+    center's own entry is unused. ``overlaps`` holds each frame's overlap
+    facts when the stream scored them at push time; a window built by hand
+    has none, and the passes derive them from ``frames``.
     """
 
     frames: tuple[FrameDetections, ...]
     center: int
     similarity: tuple[float, ...]
+    overlaps: tuple[FrameOverlaps, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.frames)
@@ -107,17 +123,85 @@ class FilteredFrame:
         return self.kept + self.added
 
 
-def _overlap_count(
-    target: ScoredBox, meta: FrameMeta, pool: Sequence[FrameDetections]
-) -> int:
-    """Number of pool frames holding a box that overlaps `target` above its
-    size-adaptive threshold."""
-    thr = adaptive_iou_threshold(target.box, meta)
-    count = 0
-    for dets in pool:
-        if any(iou(sb.box, target.box) > thr for sb in dets.boxes):
-            count += 1
-    return count
+class FrameOverlaps:
+    """Overlap facts of one frame's gated boxes.
+
+    Filled in from both sides: when a frame is pushed, one IoU matrix scores
+    its boxes against those of the frames before it (``_link``). For box
+    ``j``, ``support[j]`` is the set of frame indices holding a box whose IoU
+    with it exceeds its own adaptive threshold, and ``partners[j]`` lists
+    ``(frame index, box index, IoU)`` for every box above ``fill_iou``, in
+    frame then box order.
+    """
+
+    __slots__ = ("index", "cols", "thresholds", "support", "partners")
+
+    def __init__(self, dets: FrameDetections) -> None:
+        boxes = [sb.box for sb in dets.boxes]
+        self.index = dets.meta.frame_index
+        # x_min, y_min, x_max, y_max and area, one column per box
+        self.cols = np.array(
+            [(*b.as_tuple(), b.area) for b in boxes], dtype=np.float64
+        ).reshape(-1, 5).T
+        self.thresholds = [adaptive_iou_threshold(b, dets.meta) for b in boxes]
+        self.support: list[set[int]] = [set() for _ in boxes]
+        self.partners: list[list[tuple[int, int, float]]] = [[] for _ in boxes]
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every column of ``a`` with every column of ``b``
+    (``FrameOverlaps.cols``), one row per column of ``a``.
+
+    Elementwise in ``geometry.iou``'s operation order: min/max, subtract,
+    multiply, divide. An extent <= 0 is clamped to 0, so the IoU is 0 there
+    too; every value equals the scalar function's bit for bit (a zero may
+    carry a sign).
+    """
+    a = a[:, :, None]
+    b = b[:, None, :]
+    extent = np.minimum(a[2:4], b[2:4])
+    extent -= np.maximum(a[:2], b[:2])
+    np.maximum(extent, 0.0, out=extent)
+    inter = extent[0] * extent[1]
+    union = a[4] + b[4]
+    union -= inter
+    inter /= union
+    return inter
+
+
+def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps, fill_iou: float) -> None:
+    """Score ``new``'s boxes against every box of ``earlier`` with one IoU
+    matrix and record the support and fill partners it gives on both sides."""
+    earlier = [e for e in earlier if e.thresholds]
+    if not earlier or not new.thresholds:
+        return
+    matrix = _iou_matrix(np.concatenate([e.cols for e in earlier], axis=1), new.cols)
+    rows = iter(matrix.tolist())
+    t = new.index
+    for e in earlier:
+        f = e.index
+        for i, thr in enumerate(e.thresholds):
+            for j, v in enumerate(next(rows)):
+                if not v:
+                    continue
+                if v > thr:
+                    e.support[i].add(t)
+                if v > new.thresholds[j]:
+                    new.support[j].add(f)
+                if v > fill_iou:
+                    e.partners[i].append((t, j, v))
+                    new.partners[j].append((f, i, v))
+
+
+def _window_overlaps(window: CorrelationWindow, cfg: IscuConfig) -> tuple[FrameOverlaps, ...]:
+    """The window's overlap facts: those scored at push time, or for a window
+    built by hand the same facts derived over every pair of its frames."""
+    if window.overlaps is not None:
+        return window.overlaps
+    facts = tuple(FrameOverlaps(f) for f in window.frames)
+    for k, new in enumerate(facts):
+        _link(facts[:k], new, cfg.fill_iou)
+    return facts
 
 
 def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
@@ -152,9 +236,9 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
         )
         required = lambda c: c >= quorum
 
-    return tuple(
-        sb for sb in center.boxes if required(_overlap_count(sb, center.meta, pool))
-    )
+    pool_ids = {f.meta.frame_index for f in pool}
+    support = _window_overlaps(window, cfg)[window.center].support
+    return tuple(sb for sb, s in zip(center.boxes, support) if required(len(s & pool_ids)))
 
 
 def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
@@ -172,6 +256,8 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
     if not any(i < c for i in neighbor_ids) or not any(i > c for i in neighbor_ids):
         return ()
 
+    overlaps = _window_overlaps(window, cfg)
+    position = {frames[i].meta.frame_index: i for i in neighbor_ids}
     claimed: set[tuple[int, int]] = set()
     added: list[ScoredBox] = []
     seed_order = sorted(neighbor_ids, key=lambda i: (abs(i - c), i - c))
@@ -181,22 +267,18 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
             if (si, bi) in claimed:
                 continue
             claimed.add((si, bi))
-            members = [(si, seed)]
-            for oi in neighbor_ids:
-                if oi == si:
+            # best unclaimed partner per neighbor frame, the first on a tie
+            best: dict[int, tuple[float, int]] = {}
+            for f, obi, v in overlaps[si].partners[bi]:
+                oi = position.get(f)
+                if oi is None or (oi, obi) in claimed:
                     continue
-                best_idx = -1
-                best_iou = cfg.fill_iou
-                for obi, cand in enumerate(frames[oi].boxes):
-                    if (oi, obi) in claimed:
-                        continue
-                    v = iou(seed.box, cand.box)
-                    if v > best_iou:
-                        best_iou = v
-                        best_idx = obi
-                if best_idx >= 0:
-                    claimed.add((oi, best_idx))
-                    members.append((oi, frames[oi].boxes[best_idx]))
+                if oi not in best or v > best[oi][0]:
+                    best[oi] = (v, obi)
+            members = [(si, seed)]
+            for oi, (_, obi) in best.items():
+                claimed.add((oi, obi))
+                members.append((oi, frames[oi].boxes[obi]))
 
             if len(members) < cfg.fill_quorum:
                 continue
@@ -229,8 +311,9 @@ class StreamCorrelator:
     * ``score_frame`` prepares the frame's comparison luma and returns its
       similarity to each of the up to ``half_window`` frames before it,
       oldest first; only those earlier frames' luma is retained;
-    * ``push_scored`` gates the detections, checks the index order, buffers
-      them with those similarities and emits what is due.
+    * ``push_scored`` gates the detections, checks the index order, scores
+      their overlaps with the buffered frames, buffers them with those
+      similarities and overlap facts and emits what is due.
 
     Each frame's similarities are its row of the *similarity band*. A band
     scored at a wider half window replays through ``push_scored`` unchanged,
@@ -241,8 +324,11 @@ class StreamCorrelator:
     def __init__(self, cfg: IscuConfig | None = None) -> None:
         self.cfg = cfg or IscuConfig()
         self._lumas: deque[GrayFrame] = deque(maxlen=self.cfg.half_window)
-        # (gated detections, similarity to each of the frames before it, oldest first)
-        self._buffer: deque[tuple[FrameDetections, tuple[float, ...]]] = deque()
+        # (gated detections, similarity to each of the frames before it,
+        # oldest first, overlap facts)
+        self._buffer: deque[
+            tuple[FrameDetections, tuple[float, ...], FrameOverlaps]
+        ] = deque()
         self._n_pushed = 0
         self._next_emit = 0
         self._last_index: int | None = None
@@ -295,7 +381,11 @@ class StreamCorrelator:
             meta,
             tuple(sb for sb in dets.boxes if sb.confidence > self.cfg.confidence_gate),
         )
-        self._buffer.append((gated, back))
+        # the buffer holds the up to 2*h frames before this one: every pair
+        # that can share a window
+        overlaps = FrameOverlaps(gated)
+        _link([entry[2] for entry in self._buffer], overlaps, self.cfg.fill_iou)
+        self._buffer.append((gated, back, overlaps))
         self._n_pushed += 1
         if self._n_pushed - 1 >= self._next_emit + h:
             return self._emit()
@@ -325,12 +415,13 @@ class StreamCorrelator:
         base = self._base()
         lo = max(0, center_pos - h)
         hi = min(self._n_pushed - 1, center_pos + h)
-        frames, backs = zip(*(self._buffer[p - base] for p in range(lo, hi + 1)))
+        frames, backs, overlaps = zip(*(self._buffer[p - base] for p in range(lo, hi + 1)))
         c = center_pos - lo
         # each pair's similarity is stored with its later frame; the center's
         # own list covers exactly the c frames before it
         similarity = backs[c] + (1.0,) + tuple(backs[k][c - k] for k in range(c + 1, len(frames)))
         window = CorrelationWindow(frames, c, similarity)
+        object.__setattr__(window, "overlaps", overlaps)
         kept = eliminate_noise(window, self.cfg)
         added = correct_missed(window, self.cfg)
         center = frames[c]

@@ -36,7 +36,7 @@ class BoundingBox:
             raise ValueError(f"box coordinates must be >= 0, got {coords}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"box must have positive extent, got {coords}")
-        if not self.area > 0.0:
+        if not (self.x_max - self.x_min) * (self.y_max - self.y_min) > 0.0:
             # an area that underflows would make IoU divide 0 by 0
             raise ValueError(f"box area underflows to 0, got {coords}")
 

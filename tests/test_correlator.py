@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from polypstream import correlator
 from polypstream.correlator import (
     CorrelationWindow,
+    FrameOverlaps,
     IscuConfig,
     StreamCorrelator,
     correct_missed,
@@ -89,6 +91,28 @@ class TestConfig:
             IscuConfig(half_window=1, fill_quorum=3)
         with pytest.raises(ValueError):
             IscuConfig(half_window=0)
+
+
+@st.composite
+def corner_box(draw, size=12):
+    """Corners on a coarse grid with fractional offsets, so that boxes often
+    touch, nest, coincide or overlap by exactly representable amounts."""
+    x0 = draw(st.integers(0, size - 1)) + draw(st.sampled_from((0.0, 0.25, 0.5, 1 / 3)))
+    y0 = draw(st.integers(0, size - 1)) + draw(st.sampled_from((0.0, 0.25, 0.5, 1 / 3)))
+    w = draw(st.integers(1, size)) - draw(st.sampled_from((0.0, 0.5, 0.9)))
+    h = draw(st.integers(1, size)) - draw(st.sampled_from((0.0, 0.5, 0.9)))
+    return BoundingBox(x0, y0, x0 + w, y0 + h)
+
+
+class TestIouMatrix:
+    @given(st.lists(corner_box(), max_size=6), st.lists(corner_box(), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_scalar_iou(self, a, b):
+        cols = lambda boxes: FrameOverlaps(
+            FrameDetections(FrameMeta(30, 30, 0), tuple(ScoredBox(x, 0.9) for x in boxes))
+        ).cols
+        matrix = correlator._iou_matrix(cols(a), cols(b)).tolist()
+        assert matrix == [[iou(x, y) for y in b] for x in a]
 
 
 class TestWindowType:
@@ -514,6 +538,25 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_overlap_facts_bounded_by_window(self):
+        # 8 slowly drifting tracks, so every box gathers support and fill
+        # partners; the facts still alive afterwards cover only the frames
+        # a window can reach
+        h, n = 3, 2000
+        c = StreamCorrelator(small_cfg(half_window=h))
+        frame = flat_frame()
+        for i in range(n):
+            shift = i % 3
+            c.push_frame(frame, dets(i, *[(7 * k + shift, 10, 7 * k + 6 + shift, 20) for k in range(8)]))
+        gc.collect()
+        held = [o for o in gc.get_objects() if isinstance(o, FrameOverlaps)]
+        assert 0 < len(held) <= 2 * h + 1
+        referenced = {o.index for o in held}
+        for o in held:
+            referenced.update(*o.support)
+            referenced.update(f for partners in o.partners for f, _, _ in partners)
+        assert min(referenced) >= n - 1 - 4 * h
 
 
 class TestOutputInvariants:
