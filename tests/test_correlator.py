@@ -426,7 +426,7 @@ def _adversarial_case(h, scenes, boxes):
     return frames, det_list, derive_sweep_config(IscuConfig(), h)
 
 
-def _with_gap(h, box, center, n):
+def _with_gap(box, center, n):
     """`box` in every frame but `center`."""
     return [[] if i == center else [box] for i in range(n)]
 
@@ -472,13 +472,14 @@ class TestStreamBatchOracle:
     @given(adversarial_sequence())
     @settings(max_examples=200, deadline=None)
     @example((2, [0] * 7, [[(2, 1, 6, 5)]] * 7))  # identical boxes in every frame
-    @example((3, [0] * 7, [[(0, 0, 1, 1)], [(0, 0, 2, 1)]] * 3 + [[(0, 0, 1, 1)]]))
+    # IoU exactly at fill_iou, between neighbours and against the center
+    @example((3, [0] * 7, [[FILL_EDGE[0]], [FILL_EDGE[1]]] * 3 + [[FILL_EDGE[0]]]))
     @example((1, [0] * 3, [[TIE_SEED], [], [TIE_A, TIE_B]]))  # first of two equal IoUs
     @example((2, [0] * 5, [[TIE_A, TIE_B], [TIE_SEED], [], [TIE_SEED], [TIE_B, TIE_A]]))
-    @example((2, [0] * 6, [[ON_EDGE, FRAME_SIZED]] * 6))
+    @example((2, [0] * 6, [[ON_EDGE, FRAME_SIZED]] * 6))  # edge and frame-sized boxes
     @example((3, [0, 1, 2, 0, 1, 2, 0, 1], [[ON_EDGE]] * 8))  # no similar neighbour
     @example((4, [0, 0, 1, 1, 1, 0, 0], [[ON_EDGE], [], [ON_EDGE]] * 2 + [[]]))  # short
-    @example((2, [0] * 5, _with_gap(2, SUB_PIXEL, 2, 5)))
+    @example((2, [0] * 5, _with_gap(SUB_PIXEL, 2, 5)))  # sub-pixel track, center missing
     @example((3, [0] * 9, [[(0, 0, 4, 3), (4, 3, 8, 6)]] * 9))  # integer, edge-touching
     @example((1, [], []))
     def test_adversarial_boxes(self, case):
