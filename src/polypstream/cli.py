@@ -91,14 +91,15 @@ def _load_with_context(path: str, loader, *load_args, **load_kwargs):
 
 
 def _load_sequence(frames_dir: str, det_path: str | None):
-    """A directory's frames and, when ``det_path`` is given, its detection
-    records parsed at the first frame's size and checked against the frame
-    count (else ``None``)."""
+    """A directory's frames, still to be decoded (``read_frames``), and,
+    when ``det_path`` is given, its detection records parsed at the first
+    frame's size and checked against the frame count (else ``None``)."""
     frames = read_frames(frames_dir)
     if det_path is None:
         return frames, None
-    w, h = frames[0].width, frames[0].height
-    return frames, _load_with_context(det_path, parse_detections, w, h, len(frames))
+    return frames, _load_with_context(
+        det_path, parse_detections, frames.width, frames.height, len(frames)
+    )
 
 
 def _format_value(value) -> str:
@@ -248,8 +249,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     _check_writable(args.json)
     if args.frames:
-        pool, dets = _load_sequence(args.frames, args.detections)
-        w, h = pool[0].width, pool[0].height
+        frames, dets = _load_sequence(args.frames, args.detections)
+        pool = list(frames)  # the timed loop indexes the pool; its decode is not timed
+        w, h = frames.width, frames.height
         if dets is None:
             dets = make_bench_detections(w, h, len(pool))
     else:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -433,7 +433,7 @@ class StreamCorrelator:
         return result
 
 
-def _check_lengths(frames: Sequence[GrayFrame], detections: Sequence[FrameDetections]) -> None:
+def _check_lengths(frames: Collection[GrayFrame], detections: Sequence[FrameDetections]) -> None:
     if len(frames) != len(detections):
         raise InputError(
             f"{len(frames)} frames but {len(detections)} detection sets"
@@ -449,26 +449,32 @@ def _drain(
 
 
 def process_sequence(
-    frames: Sequence[GrayFrame],
+    frames: Collection[GrayFrame],
     detections: Sequence[FrameDetections],
     cfg: IscuConfig | None = None,
 ) -> list[FilteredFrame]:
-    """Batch wrapper over the streaming correlator; output order matches input."""
+    """Batch wrapper over the streaming correlator; output order matches input.
+
+    ``frames`` is any sized iterable, such as ``formats.read_frames``' lazy
+    sequence, and is iterated once: each frame is dropped once pushed, so
+    only the window's comparison luma stays alive.
+    """
     _check_lengths(frames, detections)
     correlator = StreamCorrelator(cfg)
     return _drain(correlator, map(correlator.push_frame, frames, detections))
 
 
 def sweep_sequence(
-    frames: Sequence[GrayFrame],
+    frames: Collection[GrayFrame],
     detections: Sequence[FrameDetections],
     cfgs: Sequence[IscuConfig],
 ) -> Iterator[list[FilteredFrame]]:
     """``process_sequence`` at each config in turn, from one similarity band.
 
-    The band is scored once, at the widest half window, before the first
-    result; each config then replays ``push_scored`` over it. The configs
-    must share ``ssim_params``.
+    ``frames`` is any sized iterable, iterated once. The band is scored in
+    that one pass, at the widest half window, before the first result; each
+    config then replays ``push_scored`` over it. The configs must share
+    ``ssim_params``.
     """
     _check_lengths(frames, detections)
     widest = max(cfgs, key=lambda c: c.half_window)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -324,9 +324,46 @@ def read_image(path: str | Path) -> GrayFrame:
     return to_luma(arr.reshape(height, width, 3))
 
 
-def read_frames(directory: str | Path) -> list[GrayFrame]:
-    """Read a directory of frames named by index from 0, validating that the
-    indices are contiguous and that every frame has the first frame's size."""
+class FrameSequence:
+    """A checked directory of frames, decoded one at a time when iterated.
+
+    ``len`` is the frame count and ``width`` and ``height`` are the first
+    frame's size. Each pass decodes the files in index order and raises
+    ``InputError`` at the first later frame of another size, so a pass holds
+    one full-resolution frame at a time.
+    """
+
+    def __init__(self, directory: Path, paths: list[Path], first: GrayFrame) -> None:
+        self._directory = directory
+        self._paths = paths
+        self._first: GrayFrame | None = first  # decoded for its size; handed to the first pass
+        self.width = first.width
+        self.height = first.height
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __iter__(self) -> Iterator[GrayFrame]:
+        frame, self._first = self._first, None
+        yield frame if frame is not None else read_image(self._paths[0])
+        for path in self._paths[1:]:
+            frame = read_image(path)
+            if (frame.width, frame.height) != (self.width, self.height):
+                raise InputError(
+                    f"{self._directory}: mixed frame dimensions: {path.name} is "
+                    f"{frame.width}x{frame.height}, expected {self.width}x{self.height} "
+                    f"as in {self._paths[0].name}"
+                )
+            yield frame
+
+
+def read_frames(directory: str | Path) -> FrameSequence:
+    """The frames of a directory, named by index from 0, as a lazy sequence.
+
+    Checked here: the directory holds frames, no index repeats, the indices
+    run from 0 without a gap, and the first frame decodes. Each later frame's
+    size is checked as it is decoded (see ``FrameSequence``).
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(f"{directory}: not a directory")
@@ -341,21 +378,13 @@ def read_frames(directory: str | Path) -> list[GrayFrame]:
         indexed[idx] = entry
     if not indexed:
         raise InputError(f"{directory}: no .pgm/.ppm frames found")
-    last = max(indexed)
-    missing = [i for i in range(last + 1) if i not in indexed]
-    if missing:
-        raise InputError(f"{directory}: missing frame index {missing[0]}")
-    frames: list[GrayFrame] = []
-    for i in range(last + 1):
-        frame = read_image(indexed[i])
-        if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
-            raise InputError(
-                f"{directory}: mixed frame dimensions: {indexed[i].name} is "
-                f"{frame.width}x{frame.height}, expected {frames[0].width}x{frames[0].height} "
-                f"as in {indexed[0].name}"
-            )
-        frames.append(frame)
-    return frames
+    indices = sorted(indexed)
+    if indices[-1] + 1 != len(indices):
+        # the first gap: the first position whose index is not its own
+        missing = next(i for i, idx in enumerate(indices) if idx != i)
+        raise InputError(f"{directory}: missing frame index {missing}")
+    paths = [indexed[i] for i in indices]
+    return FrameSequence(directory, paths, read_image(paths[0]))
 
 
 def write_pgm(path: str | Path, frame: GrayFrame) -> None:

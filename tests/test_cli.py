@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import polypstream.cli as cli_mod
 from polypstream import correlator
+from polypstream.benchmark import make_bench_detections, make_bench_frames
 from polypstream.cli import run_cli
 from polypstream.config import derive_sweep_config
 from polypstream.correlator import IscuConfig, process_sequence
@@ -155,6 +157,65 @@ class TestFilterCommand:
         )
         assert code == 1
         assert "line 2: box lies entirely outside the 160x120 frame" in capsys.readouterr().err
+
+    def test_stray_huge_frame_index_exit_1(self, tmp_path, capsys):
+        # the listing stops at the first gap without scanning up to 10**12
+        root, _ = make_scenario_dir(tmp_path, n_frames=1)
+        frames = root / "frames"
+        (frames / f"{10**12}.pgm").write_bytes((frames / "000000.pgm").read_bytes())
+        out = tmp_path / "out.txt"
+        code = run_cli(
+            [
+                "filter",
+                "--frames",
+                str(frames),
+                "--detections",
+                str(root / "detections.txt"),
+                "--output",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "missing frame index 1\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_bounded_by_window(self, tmp_path, capsys):
+        # 1000 frames at 320x240 hold 77 MB of raster; a stream that drops
+        # each frame once pushed keeps only the window's comparison luma
+        pool = tmp_path / "pool"
+        write_frames(pool, make_bench_frames(320, 240, pool_size=8))
+        dets = make_bench_detections(320, 240, 1000)
+
+        def filter_args(n):
+            root = tmp_path / f"n{n}"
+            (root / "frames").mkdir(parents=True)
+            for i in range(n):  # links to the pool: distinct files, no disk cost
+                (root / "frames" / f"{i:06d}.pgm").symlink_to(pool / f"{i % 8:06d}.pgm")
+            write_detections(root / "det.txt", dets[:n])
+            return [
+                "filter",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(root / "det.txt"),
+                "--output",
+                str(root / "out.txt"),
+            ]
+
+        def traced_peak(args):
+            tracemalloc.start()
+            try:
+                assert run_cli(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = filter_args(50), filter_args(1000)
+        traced_peak(short)  # warm imports and caches
+        growth = traced_peak(long) - traced_peak(short)
+        # measured: 1.4-1.8 MB (detections and results grow with the length);
+        # 75 MB when every decoded frame is kept
+        assert growth < 5_000_000, f"traced peak grew {growth / 1e6:.1f} MB"
 
     def test_record_area_underflow_exit_1(self, tmp_path, capsys):
         # 1e-200 * 1e-200 is 0.0 in float64: IoU on such boxes would be 0/0
@@ -573,6 +634,50 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""  # no half window reported before the failure
         assert "half window must be >= 1, got 0" in captured.err
+
+
+def corrupt_frame(frames_dir, index, kind):
+    """Make frame `index` another size or cut its raster short."""
+    path = frames_dir / f"{index:06d}.pgm"
+    if kind == "size":
+        write_pgm(path, GrayFrame.from_array(np.zeros((120, 150), dtype=np.uint8)))
+    else:
+        path.write_bytes(path.read_bytes()[:-100])
+    return path
+
+
+class TestBadFrameMidSequence:
+    """A later frame is checked as it is decoded; the run still fails with
+    exit 1, names the file and writes no output."""
+
+    MESSAGE = {
+        "size": "mixed frame dimensions: 000005.pgm is 150x120, expected 160x120",
+        "truncated": "000005.pgm: raster truncated",
+    }
+
+    @pytest.mark.parametrize("kind", ["size", "truncated"])
+    @pytest.mark.parametrize("command", ["filter", "sweep"])
+    def test_exit_1_names_file_writes_nothing(self, tmp_path, capsys, command, kind):
+        root, _ = make_scenario_dir(tmp_path, n_frames=12)
+        corrupt_frame(root / "frames", 5, kind)
+        out = tmp_path / "out"
+        args = [
+            command,
+            "--frames",
+            str(root / "frames"),
+            "--detections",
+            str(root / "detections.txt"),
+        ]
+        if command == "filter":
+            args += ["--output", str(out)]
+        else:
+            args += ["--half-window", "1,2", "--ground-truth", str(root / "groundtruth.txt")]
+            args += ["--json", str(out)]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.MESSAGE[kind] in captured.err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -1,8 +1,14 @@
+import contextlib
 import io
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polypstream.cli import run_cli
 from polypstream.errors import InputError
 from polypstream.formats import (
     parse_detections,
@@ -220,9 +226,42 @@ class TestReadFrames:
         )
         write_pgm(tmp_path / "000002.pgm", self.frame(2))
         with pytest.raises(InputError, match="mixed") as info:
-            read_frames(tmp_path)
+            list(read_frames(tmp_path))
         # the first file that differs, its size and the size of the first frame
         assert "000001.pgm is 10x9, expected 10x8" in str(info.value)
+
+    def test_lazy_sequence_sized_and_reiterable(self, tmp_path):
+        frames = self.write_seq(tmp_path, 4)
+        seq = read_frames(tmp_path)
+        assert (len(seq), seq.width, seq.height) == (4, 10, 8)
+        for _ in range(2):  # each pass decodes the files again
+            got = list(seq)
+            assert [g.samples.tolist() for g in got] == [f.samples.tolist() for f in frames]
+
+    def test_later_frame_decoded_only_when_reached(self, tmp_path):
+        self.write_seq(tmp_path, 3)
+        (tmp_path / "000002.pgm").write_bytes(b"P5\n10 8\n255\n\x00")
+        seq = read_frames(tmp_path)  # the listing and frame 0 only
+        it = iter(seq)
+        next(it), next(it)
+        with pytest.raises(InputError, match="000002.pgm: raster truncated"):
+            next(it)
+
+    def test_listing_cost_independent_of_largest_index(self, tmp_path):
+        # the gap is found from the sorted indices, not by scanning up to
+        # the largest one
+        self.write_seq(tmp_path, 1)
+        write_pgm(tmp_path / f"{10**12}.pgm", self.frame(1))
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="missing frame index 1$"):
+            read_frames(tmp_path)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_first_gap_reported_among_several(self, tmp_path):
+        self.write_seq(tmp_path, 6, skip=4)
+        (tmp_path / "000002.pgm").unlink()
+        with pytest.raises(InputError, match="missing frame index 2$"):
+            read_frames(tmp_path)
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(InputError, match="no .pgm"):
@@ -231,3 +270,73 @@ class TestReadFrames:
     def test_non_directory_rejected(self, tmp_path):
         with pytest.raises(InputError, match="not a directory"):
             read_frames(tmp_path / "nope")
+
+
+def netpbm_bytes(magic: bytes, width: int, height: int, seed: int) -> bytes:
+    channels = 1 if magic == b"P5" else 3
+    raster = np.random.default_rng(seed).integers(0, 256, width * height * channels, dtype=np.uint8)
+    return magic + f"\n# c\n{width} {height}\n255\n".encode("ascii") + raster.tobytes()
+
+
+# (kind, position as a fraction of the length, bytes): a position near 0 hits
+# the header, one near 1 the raster
+_MUTATION = st.tuples(
+    st.sampled_from(("replace", "insert", "truncate")),
+    st.floats(0.0, 1.0),
+    st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.sampled_from((b" ", b"\n", b"#", b"-", b"0", b"9", b"P", b"99999")),
+    ),
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    for kind, where, chunk in mutations:
+        i = min(int(where * len(data)), max(len(data) - 1, 0))
+        if kind == "replace":
+            data = data[:i] + chunk + data[i + len(chunk) :]
+        elif kind == "insert":
+            data = data[:i] + chunk + data[i:]
+        else:
+            data = data[:i]
+    return data
+
+
+class TestNetpbmFuzz:
+    """Mutated, truncated and padded headers and rasters: a frame either
+    decodes or raises InputError, never another exception."""
+
+    @given(st.sampled_from((b"P5", b"P6")), st.lists(_MUTATION, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_read_image_raises_only_input_error(self, magic, mutations):
+        data = mutate(netpbm_bytes(magic, 6, 4, seed=0), mutations)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "f.pgm"
+            path.write_bytes(data)
+            try:
+                frame = read_image(path)
+            except InputError:
+                return
+        assert frame.samples.dtype == np.uint8 and frame.samples.shape == (frame.height, frame.width)
+
+    @given(
+        st.integers(1, 2),
+        st.sampled_from((b"P5", b"P6")),
+        st.lists(_MUTATION, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_later_frame_exit_0_or_1(self, index, magic, mutations):
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d)
+            frames = root / "frames"
+            frames.mkdir()
+            for i in range(3):
+                data = netpbm_bytes(magic, 16, 12, seed=i)
+                if i == index:
+                    data = mutate(data, mutations)
+                (frames / f"{i:06d}.pgm").write_bytes(data)
+            (root / "det.txt").write_text("".join(f"{i} 2 2 9 9 0.9\n" for i in range(3)))
+            args = ["filter", "--frames", str(frames), "--detections", str(root / "det.txt")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run_cli(args + ["--output", str(root / "out.txt")])
+        assert code in (0, 1), err.getvalue()
