@@ -636,16 +636,6 @@ class TestSweepCommand:
         assert "half window must be >= 1, got 0" in captured.err
 
 
-def corrupt_frame(frames_dir, index, kind):
-    """Make frame `index` another size or cut its raster short."""
-    path = frames_dir / f"{index:06d}.pgm"
-    if kind == "size":
-        write_pgm(path, GrayFrame.from_array(np.zeros((120, 150), dtype=np.uint8)))
-    else:
-        path.write_bytes(path.read_bytes()[:-100])
-    return path
-
-
 class TestBadFrameMidSequence:
     """A later frame is checked as it is decoded; the run still fails with
     exit 1, names the file and writes no output."""
@@ -659,7 +649,11 @@ class TestBadFrameMidSequence:
     @pytest.mark.parametrize("command", ["filter", "sweep"])
     def test_exit_1_names_file_writes_nothing(self, tmp_path, capsys, command, kind):
         root, _ = make_scenario_dir(tmp_path, n_frames=12)
-        corrupt_frame(root / "frames", 5, kind)
+        bad = root / "frames" / "000005.pgm"
+        if kind == "size":
+            write_pgm(bad, GrayFrame.from_array(np.zeros((120, 150), dtype=np.uint8)))
+        else:
+            bad.write_bytes(bad.read_bytes()[:-100])
         out = tmp_path / "out"
         args = [
             command,
