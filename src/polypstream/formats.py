@@ -33,6 +33,8 @@ from .similarity import GrayFrame, to_luma
 
 _ORIGIN_TOKENS = {"det": BoxOrigin.DETECTOR, "interp": BoxOrigin.INTERPOLATED}
 _FRAME_FILE_RE = re.compile(r"^(\d+)\.(pgm|ppm)$", re.IGNORECASE)
+# the longest sequence a record file's indices alone may imply: 9 hours at 30 fps
+_MAX_INFERRED_FRAMES = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -85,6 +87,25 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise InputError(f"line {line_no}: {what} {token!r} is not an integer") from None
 
 
+def _parse_frame_index(token: str, line_no: int, n_frames: int | None) -> int:
+    """A record's frame index, below ``n_frames`` when that is declared and
+    else below ``_MAX_INFERRED_FRAMES``: every index up to the largest gets
+    its own frame entry."""
+    frame_index = _parse_int(token, line_no, "frame index")
+    if frame_index < 0:
+        raise InputError(f"line {line_no}: frame index must be >= 0")
+    if n_frames is not None and frame_index >= n_frames:
+        raise InputError(
+            f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
+        )
+    if n_frames is None and frame_index >= _MAX_INFERRED_FRAMES:
+        raise InputError(
+            f"line {line_no}: frame index {frame_index} beyond {_MAX_INFERRED_FRAMES} frames; "
+            "declare the sequence length to read it"
+        )
+    return frame_index
+
+
 def parse_detections(
     source: IO[str] | str | Path | Iterable[str],
     width: int | None = None,
@@ -111,13 +132,7 @@ def parse_detections(
                 f"line {line_no}: expected 6 or 7 fields "
                 f"(frame x_min y_min x_max y_max confidence [origin]), got {len(fields)}"
             )
-        frame_index = _parse_int(fields[0], line_no, "frame index")
-        if frame_index < 0:
-            raise InputError(f"line {line_no}: frame index must be >= 0")
-        if n_frames is not None and frame_index >= n_frames:
-            raise InputError(
-                f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
-            )
+        frame_index = _parse_frame_index(fields[0], line_no, n_frames)
         x_min = _parse_float(fields[1], line_no, "x_min")
         y_min = _parse_float(fields[2], line_no, "y_min")
         x_max = _parse_float(fields[3], line_no, "x_max")
@@ -180,13 +195,7 @@ def parse_groundtruth(
             raise InputError(
                 f"line {line_no}: expected 6 fields (frame polyp_id cx cy w h), got {len(fields)}"
             )
-        frame_index = _parse_int(fields[0], line_no, "frame index")
-        if frame_index < 0:
-            raise InputError(f"line {line_no}: frame index must be >= 0")
-        if n_frames is not None and frame_index >= n_frames:
-            raise InputError(
-                f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
-            )
+        frame_index = _parse_frame_index(fields[0], line_no, n_frames)
         polyp_id = fields[1]
         cx = _parse_float(fields[2], line_no, "cx")
         cy = _parse_float(fields[3], line_no, "cy")

@@ -1,8 +1,11 @@
 """Hot numeric kernels: luma, area downsampling and similarity statistics.
 
 One numpy implementation per kernel, in exact integer arithmetic, so results
-do not depend on the platform. Downsampling is one run sum, over the rows and
-then the columns, at any size. Similarity splits its five global moment sums:
+do not depend on the platform. Luma and the moments run that arithmetic in
+floats: every sum they form is an integer the float holds exactly, so the
+result is the same in any summation order. Luma is one ``float32`` dot
+product per band of rows. Downsampling is one run sum, over the rows and then
+the columns, at any size. Similarity splits its five global moment sums:
 ``moments`` takes one frame's ``Sx`` and ``Sxx`` once, and ``ssim_stats``
 adds a pair's ``Sxy`` as one ``float64`` dot product, exact because every
 partial sum of 8-bit products is an integer far below 2**53.
@@ -13,16 +16,38 @@ from __future__ import annotations
 import numpy as np
 
 
+# Rec.601 integer weights, in thousandths
+_LUMA_WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
+# rows converted per band, so that the band's float32 copy stays in cache
+_LUMA_BAND_ROWS = 32
+
+
 def luma(rgb: np.ndarray) -> np.ndarray:
-    """Rec.601 luma of an (h, w, 3) uint8 raster, rounded half up."""
-    # Rec.601 integer weights; +500 implements round-half-up after /1000.
-    # One uint32 accumulator: at most 1000 * 255 + 500, no full-size casts.
-    acc = np.multiply(rgb[:, :, 0], 299, dtype=np.uint32)
-    acc += np.multiply(rgb[:, :, 1], 587, dtype=np.uint32)
-    acc += np.multiply(rgb[:, :, 2], 114, dtype=np.uint32)
-    acc += 500
-    acc //= 1000
-    return acc.astype(np.uint8)
+    """Rec.601 luma of an (h, w, 3) uint8 raster, rounded half up:
+    ``(299 r + 587 g + 114 b + 500) // 1000`` per pixel.
+
+    Each band of rows is copied into a float32 buffer and multiplied by the
+    weights, then 500 is added and the sum divided by 1000. Every product
+    and partial sum is an integer at most 255 500 < 2**24, so float32 holds
+    it exactly in any summation order, with or without fused multiply-add.
+    The division is correctly rounded, and ``(1000 q + r) / 1000`` with
+    ``r < 1000`` and ``q <= 255`` never rounds up to ``q + 1``, so the
+    truncating cast to uint8 yields the floor.
+    """
+    h, w = rgb.shape[:2]
+    out = np.empty((h, w), dtype=np.uint8)
+    band = min(_LUMA_BAND_ROWS, h)
+    buf = np.empty((band, w, 3), dtype=np.float32)
+    acc = np.empty((band, w), dtype=np.float32)
+    for top in range(0, h, _LUMA_BAND_ROWS):
+        rows = min(band, h - top)
+        b, a = buf[:rows], acc[:rows]
+        b[...] = rgb[top : top + rows]
+        np.matmul(b, _LUMA_WEIGHTS, out=a)
+        a += 500
+        a /= 1000
+        out[top : top + rows] = a  # truncates
+    return out
 
 
 def _run_sums(arr: np.ndarray, target: int) -> tuple[np.ndarray, int]:

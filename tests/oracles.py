@@ -22,6 +22,18 @@ from polypstream.geometry import (
 from polypstream.similarity import GrayFrame, SsimParams, prepare_luma
 
 
+def naive_luma(rgb: np.ndarray) -> np.ndarray:
+    """Rec.601 luma of an (h, w, 3) uint8 raster, rounded half up, as
+    ``(299 r + 587 g + 114 b + 500) // 1000`` in one uint32 accumulator
+    (at most 1000 * 255 + 500)."""
+    acc = np.multiply(rgb[:, :, 0], 299, dtype=np.uint32)
+    acc += np.multiply(rgb[:, :, 1], 587, dtype=np.uint32)
+    acc += np.multiply(rgb[:, :, 2], 114, dtype=np.uint32)
+    acc += 500
+    acc //= 1000
+    return acc.astype(np.uint8)
+
+
 def naive_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
     """Literal two-pass evaluation of the luminance/contrast/structure product."""
     p = p or SsimParams()

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import naive_luma
 
 import polypstream.cli as cli_mod
 from polypstream import correlator
@@ -326,6 +327,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "det.txt" in err and "line 1" in err
 
+    @pytest.mark.parametrize("which", ["det", "gt"])
+    def test_stray_huge_frame_index_exit_1(self, tmp_path, capsys, which):
+        # without --num-frames the length comes from the largest index, and
+        # every frame up to it gets an entry: 10**11 is refused, not listed
+        det_rows, gt_rows = ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"]
+        if which == "det":
+            det_rows.append("99999999999 10 10 30 30 0.9\n")
+        else:
+            gt_rows.append("99999999999 p1 20 20 20 20\n")
+        det, gt = self._write_pair(tmp_path, det_rows, gt_rows)
+        code = run_cli(["eval", "--detections", str(det), "--ground-truth", str(gt)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{which}.txt: line 2: frame index 99999999999 beyond 1000000 frames" in err
+
     def test_record_wholly_left_of_frame_exit_1(self, tmp_path, capsys):
         det, gt = self._write_pair(
             tmp_path, ["0 10 10 30 30 0.9\n", "0 -5 -5 -1 -1 0.9\n"], ["0 p1 20 20 20 20\n"]
@@ -634,6 +650,61 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""  # no half window reported before the failure
         assert "half window must be >= 1, got 0" in captured.err
+
+
+class TestColourFrames:
+    def test_filter_matches_gray_frames_of_oracle_luma(self, tmp_path, capsys):
+        # colour frames whose channels differ give the same filter output and
+        # stdout, byte for byte, as PGM frames holding the oracle's luma
+        track = TrackSpec(
+            start=BoundingBox(30.0, 25.0, 90.0, 80.0),
+            velocity=(2.0, 1.0),
+            wobble_amplitude=(0.0, 0.0),
+            wobble_period=(7.0, 9.0),
+        )
+        cfg = ScenarioConfig(
+            frame_w=200,
+            frame_h=150,
+            n_frames=12,
+            rng_seed=6,
+            tracks=(track,),
+            scene_break_frames=frozenset({6}),
+        )
+        r = np.random.default_rng(6)
+        rasters = []
+        for frame in generate_scenario(cfg).frames:
+            s = frame.samples.astype(np.int16)
+            rgb = np.stack([s, 255 - s, s // 2 + 64], axis=2) + r.integers(-10, 11, (*s.shape, 3))
+            rasters.append(np.clip(rgb, 0, 255).astype(np.uint8))
+        assert all((rgb[..., 0] != rgb[..., 1]).mean() > 0.9 for rgb in rasters)
+        colour, gray = tmp_path / "colour", tmp_path / "gray"
+        colour.mkdir()
+        for i, rgb in enumerate(rasters):
+            header = f"P6\n{cfg.frame_w} {cfg.frame_h}\n255\n".encode("ascii")
+            (colour / f"{i:06d}.ppm").write_bytes(header + rgb.tobytes())
+        write_frames(gray, [GrayFrame.from_array(naive_luma(rgb)) for rgb in rasters])
+        # the track, missed in frames 3 and 8, and two transient false positives
+        track_rows = (f"{i} {30 + 2 * i} {25 + i} {90 + 2 * i} {80 + i} 0.9" for i in range(12))
+        lines = [row for i, row in enumerate(track_rows) if i not in (3, 8)]
+        lines += ["4 150 100 180 130 0.8", "10 5 110 35 140 0.7"]
+        dets = tmp_path / "detections.txt"
+        dets.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "filtered.txt"
+        runs = []
+        for frames in (colour, gray):
+            args = ["filter", "--frames", str(frames), "--detections", str(dets)]
+            assert run_cli(args + ["--output", str(out)]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert "removed = 0" not in runs[0][1] and "added = 0" not in runs[0][1]
+        # the decisions above hold under small luma errors; 6-digit SSIM does not
+        for i, j in [(0, 1), (5, 6)]:
+            printed = []
+            for frames, ext in ((colour, "ppm"), (gray, "pgm")):
+                pair = [str(frames / f"{k:06d}.{ext}") for k in (i, j)]
+                assert run_cli(["ssim", *pair]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1]
 
 
 class TestBadFrameMidSequence:

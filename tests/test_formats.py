@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polypstream.cli import run_cli
 from polypstream.errors import InputError
@@ -340,3 +340,74 @@ class TestNetpbmFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                 code = run_cli(args + ["--output", str(root / "out.txt")])
         assert code in (0, 1), err.getvalue()
+
+
+# tokens that stress the record parsers: non-finite and huge numbers,
+# negative and huge indices, origins, comments and plain junk
+_RECORD_TOKEN = st.one_of(
+    st.sampled_from(
+        (
+            "nan", "NaN", "inf", "-inf", "1e308", "-1e308", "1e999", "1e-320", "-0",
+            "-1", "-7", "99999999999", str(10**30), "0x10", "1_0", "#", "#x", "",
+            "det", "interp", "a", "0.5", "2", "1e3", "+3", "٣",
+        )
+    ),
+    st.text("0123456789.-+eE#", min_size=1, max_size=6),
+)
+# (kind, line position, token position, token): replace or insert a token,
+# or cut the line after a token, so records get 5 or 8 fields as well
+_RECORD_MUTATION = st.tuples(
+    st.sampled_from(("replace", "insert", "truncate")),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    _RECORD_TOKEN,
+)
+
+
+def mutate_records(lines: list[str], mutations) -> str:
+    rows = [line.split(" ") for line in lines]
+    for kind, row_at, token_at, token in mutations:
+        row = rows[min(int(row_at * len(rows)), len(rows) - 1)]
+        i = min(int(token_at * len(row)), len(row) - 1)
+        if kind == "replace":
+            row[i] = token
+        elif kind == "insert":
+            row.insert(i, token)
+        else:
+            del row[i + 1 :]
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+class TestRecordFuzz:
+    """Mutated detection and ground-truth lines: `filter`, `eval` and
+    `sweep` exit 0 or 1, never 2."""
+
+    DETECTIONS = [f"{i} {2 + i} 2 {9 + i} 9 0.9" for i in range(4)] + ["2 1 1 5 5 0.3 interp"]
+    GROUND_TRUTH = [f"{i} p {5.5 + i} 5.5 7 7" for i in range(4)]
+
+    @given(
+        st.lists(_RECORD_MUTATION, max_size=3),
+        st.lists(_RECORD_MUTATION, max_size=3),
+    )
+    @example([("replace", 0.0, 0.0, "99999999999")], [])
+    @example([], [("replace", 0.9, 0.0, str(10**30))])
+    @settings(max_examples=150, deadline=None)
+    def test_exit_0_or_1(self, det_mutations, gt_mutations):
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d)
+            frames = [GrayFrame.from_array(np.full((12, 16), 9 * i, np.uint8)) for i in range(4)]
+            write_frames(root / "frames", frames)
+            det, gt = root / "det.txt", root / "gt.txt"
+            det.write_text(mutate_records(self.DETECTIONS, det_mutations))
+            gt.write_text(mutate_records(self.GROUND_TRUTH, gt_mutations))
+            both = ["--detections", str(det), "--ground-truth", str(gt)]
+            runs = [
+                ["filter", "--frames", str(root / "frames"), *both[:2], "--output", str(root / "o")],
+                ["eval", *both],
+                ["eval", *both, "--frame-size", "16x12"],
+                ["sweep", "--frames", str(root / "frames"), *both, "--half-window", "1,2"],
+            ]
+            for args in runs:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = run_cli(args)
+                assert code in (0, 1), f"{args[0]}: {err.getvalue()}"

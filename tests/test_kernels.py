@@ -1,9 +1,11 @@
 """Each hot kernel checked against an exact or naive oracle."""
 
 import json
+import time
 
 import numpy as np
 import pytest
+from oracles import naive_luma
 
 from polypstream import kernels
 from polypstream.cli import run_cli
@@ -130,6 +132,66 @@ class TestLuma:
                 r, g, b = (int(v) for v in rgb[i, j])
                 want = (Fraction(299 * r + 587 * g + 114 * b, 1000) + Fraction(1, 2)).__floor__()
                 assert out[i, j] == want
+
+    def test_every_rgb_triple_matches_oracle(self):
+        # all 2**24 triples, as 256 rasters of 256x256: red fixed per raster,
+        # green down the rows, blue along the columns
+        levels = np.arange(256, dtype=np.uint8)
+        rgb = np.empty((256, 256, 3), dtype=np.uint8)
+        rgb[:, :, 1] = levels[:, None]
+        rgb[:, :, 2] = levels[None, :]
+        for red in range(256):
+            rgb[:, :, 0] = red
+            np.testing.assert_array_equal(kernels.luma(rgb), naive_luma(rgb), err_msg=f"red {red}")
+
+    @pytest.mark.parametrize(
+        "bands, extra_rows",
+        [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["0", "1", "band-1", "band", "band+1", "2band+1"],
+    )
+    @pytest.mark.parametrize("width", [0, 1, 7, 160])
+    def test_band_edges(self, bands, extra_rows, width):
+        # heights around the band size; width 7 makes a pixel count that no
+        # band divides
+        h = bands * kernels._LUMA_BAND_ROWS + extra_rows
+        rgb = rng(h * 1000 + width).integers(0, 256, size=(h, width, 3), dtype=np.uint8)
+        if rgb.size:
+            rgb[-1, -1] = 255  # the largest sum, 255 500
+        out = kernels.luma(rgb)
+        assert out.dtype == np.uint8 and out.shape == (h, width)
+        np.testing.assert_array_equal(out, naive_luma(rgb))
+
+    def test_non_contiguous_view(self):
+        h = 2 * kernels._LUMA_BAND_ROWS + 5
+        rgb = rng(3).integers(0, 256, size=(h, 41, 3), dtype=np.uint8)
+        view = rgb[:, ::2]
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(kernels.luma(view), naive_luma(view))
+
+    def test_read_only_buffer(self):
+        # the raster as read_image hands it over: a read-only view of file bytes
+        h, w = kernels._LUMA_BAND_ROWS + 3, 29
+        data = rng(4).integers(0, 256, size=h * w * 3, dtype=np.uint8).tobytes()
+        rgb = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+        assert not rgb.flags.writeable
+        np.testing.assert_array_equal(kernels.luma(rgb), naive_luma(rgb))
+
+
+def test_colour_luma_time_ratio_at_paper_size():
+    # colour 1280x1080: the banded kernel against the full-frame uint32
+    # oracle, interleaved so both see the same machine speed
+    rgb = rng(11).integers(0, 256, size=(1080, 1280, 3), dtype=np.uint8)
+    kernels.luma(rgb), naive_luma(rgb)  # warm up
+    ratios = []
+    for _ in range(15):
+        t0 = time.perf_counter()
+        kernels.luma(rgb)
+        t1 = time.perf_counter()
+        naive_luma(rgb)
+        t2 = time.perf_counter()
+        ratios.append((t1 - t0) / (t2 - t1))
+    ratio = float(np.median(ratios))
+    assert ratio <= 0.75, f"median time ratio {ratio:.2f} to the uint32 formula"
 
 
 class TestSsimKernels:
