@@ -19,15 +19,12 @@ from .errors import InputError, SequencingError
 from .evaluation import (
     EvalReport,
     FrameOutcome,
-    PrPoint,
     aggregate,
-    average_precision,
     evaluate_sequences,
     match_boxes,
     match_frame,
     mpt,
     pdr,
-    pr_curve,
 )
 from .geometry import (
     BoundingBox,
@@ -69,7 +66,6 @@ __all__ = [
     "GroundTruthBox",
     "InputError",
     "IscuConfig",
-    "PrPoint",
     "Scenario",
     "ScenarioConfig",
     "ScoredBox",
@@ -79,7 +75,6 @@ __all__ = [
     "TrackSpec",
     "adaptive_iou_threshold",
     "aggregate",
-    "average_precision",
     "centroid_to_corners",
     "clip_box",
     "corners_to_centroid",
@@ -93,7 +88,6 @@ __all__ = [
     "match_frame",
     "mpt",
     "pdr",
-    "pr_curve",
     "prepare_luma",
     "process_sequence",
     "simulate_detector",

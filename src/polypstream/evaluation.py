@@ -32,15 +32,6 @@ class FrameOutcome:
             raise ValueError("tn=1 requires an empty frame (no boxes either way)")
 
 
-@dataclass(frozen=True)
-class PrPoint:
-    """One point of the precision/recall staircase."""
-
-    recall: float
-    precision: float
-    threshold: float
-
-
 @dataclass
 class EvalReport:
     """Aggregated counts and derived metrics; percentages are 0-100.
@@ -172,31 +163,11 @@ def aggregate(
     )
 
 
-def pr_curve(
-    detections: Sequence[Sequence[ScoredBox]],
-    ground_truths: Sequence[Sequence[BoundingBox]],
-    iou_cut: float = 0.5,
-) -> list[PrPoint]:
-    """Precision/recall points swept over every distinct confidence score."""
-    if len(detections) != len(ground_truths):
-        raise InputError(
-            f"{len(detections)} detection frames but {len(ground_truths)} ground-truth frames"
-        )
-    total_gt = sum(len(g) for g in ground_truths)
-    if total_gt == 0:
-        raise InputError("precision/recall sweep requires at least one ground truth box")
-
-    pool: list[tuple[float, str]] = []
-    for dets, gts in zip(detections, ground_truths):
-        marks, _ = match_boxes(dets, list(gts), iou_cut)
-        pool.extend((d.confidence, m) for d, m in zip(dets, marks))
-    return _pr_points(pool, total_gt)
-
-
-def _pr_points(pool: list[tuple[float, str]], total_gt: int) -> list[PrPoint]:
-    """The staircase of pooled (confidence, mark) pairs; sorts `pool`."""
+def _pr_points(pool: list[tuple[float, str]], total_gt: int) -> list[tuple[float, float]]:
+    """The (recall, precision) staircase of pooled (confidence, mark) pairs,
+    one point per distinct confidence; sorts `pool`."""
     pool.sort(key=lambda t: -t[0])
-    points: list[PrPoint] = []
+    points: list[tuple[float, float]] = []
     tp = fp = 0
     for idx, (conf, mark) in enumerate(pool):
         if mark == "tp":
@@ -205,32 +176,21 @@ def _pr_points(pool: list[tuple[float, str]], total_gt: int) -> list[PrPoint]:
             fp += 1
         at_boundary = idx == len(pool) - 1 or pool[idx + 1][0] < conf
         if at_boundary and tp + fp > 0:
-            points.append(PrPoint(tp / total_gt, tp / (tp + fp), conf))
+            points.append((tp / total_gt, tp / (tp + fp)))
     return points
 
 
-def average_precision(
-    detections: Sequence[Sequence[ScoredBox]],
-    ground_truths: Sequence[Sequence[BoundingBox]],
-    iou_cut: float = 0.5,
-) -> float:
-    """Area under the precision/recall staircase (all-points interpolation).
-
-    Precision is replaced by its monotone non-increasing envelope before
-    integrating over recall.
-    """
-    return _staircase_area(pr_curve(detections, ground_truths, iou_cut))
-
-
-def _staircase_area(points: list[PrPoint]) -> float:
-    """Area under the monotone precision envelope of `points`, over recall."""
+def _staircase_area(points: list[tuple[float, float]]) -> float:
+    """Area under the (recall, precision) staircase (all-points
+    interpolation): precision is replaced by its monotone non-increasing
+    envelope before integrating over recall."""
     if not points:
         return 0.0
     envelope: list[tuple[float, float]] = []
     best = 0.0
-    for pt in reversed(points):
-        best = max(best, pt.precision)
-        envelope.append((pt.recall, best))
+    for recall, precision in reversed(points):
+        best = max(best, precision)
+        envelope.append((recall, best))
     envelope.reverse()
     ap = 0.0
     prev_recall = 0.0

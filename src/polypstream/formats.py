@@ -33,8 +33,9 @@ from .similarity import GrayFrame, to_luma
 
 _ORIGIN_TOKENS = {"det": BoxOrigin.DETECTOR, "interp": BoxOrigin.INTERPOLATED}
 _FRAME_FILE_RE = re.compile(r"^(\d+)\.(pgm|ppm)$", re.IGNORECASE)
-# the longest sequence a record file's indices alone may imply: 9 hours at 30 fps
-_MAX_INFERRED_FRAMES = 1_000_000
+# the longest sequence a record file may describe, declared or implied by its
+# indices: 9 hours at 30 fps
+_MAX_FRAMES = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -87,10 +88,17 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise InputError(f"line {line_no}: {what} {token!r} is not an integer") from None
 
 
+def _check_length(n_frames: int | None) -> None:
+    """Refuse a declared sequence length that is negative or above
+    ``_MAX_FRAMES``: every frame up to it gets its own entry."""
+    if n_frames is not None and not 0 <= n_frames <= _MAX_FRAMES:
+        raise InputError(f"declared length {n_frames} outside [0, {_MAX_FRAMES}] frames")
+
+
 def _parse_frame_index(token: str, line_no: int, n_frames: int | None) -> int:
     """A record's frame index, below ``n_frames`` when that is declared and
-    else below ``_MAX_INFERRED_FRAMES``: every index up to the largest gets
-    its own frame entry."""
+    else below ``_MAX_FRAMES``: every index up to the largest gets its own
+    frame entry."""
     frame_index = _parse_int(token, line_no, "frame index")
     if frame_index < 0:
         raise InputError(f"line {line_no}: frame index must be >= 0")
@@ -98,9 +106,9 @@ def _parse_frame_index(token: str, line_no: int, n_frames: int | None) -> int:
         raise InputError(
             f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
         )
-    if n_frames is None and frame_index >= _MAX_INFERRED_FRAMES:
+    if n_frames is None and frame_index >= _MAX_FRAMES:
         raise InputError(
-            f"line {line_no}: frame index {frame_index} beyond {_MAX_INFERRED_FRAMES} frames; "
+            f"line {line_no}: frame index {frame_index} beyond {_MAX_FRAMES} frames; "
             "declare the sequence length to read it"
         )
     return frame_index
@@ -120,6 +128,7 @@ def parse_detections(
     Frames with no records come back with empty detection lists, up to
     ``n_frames`` (or the highest index seen when not given).
     """
+    _check_length(n_frames)
     records = []  # (line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin)
     max_index = -1
     for line_no, raw in _lines(source):
@@ -183,6 +192,7 @@ def parse_groundtruth(
     n_frames: int | None = None,
 ) -> list[list[GroundTruthBox]]:
     """Parse centroid-form annotations; duplicates of (frame, polyp_id) are errors."""
+    _check_length(n_frames)
     per_frame: dict[int, list[GroundTruthBox]] = {}
     seen: set[tuple[int, str]] = set()
     max_index = -1

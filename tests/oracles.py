@@ -19,7 +19,7 @@ from polypstream.geometry import (
     FrameDetections,
     ScoredBox,
 )
-from polypstream.similarity import GrayFrame, SsimParams, prepare_luma
+from polypstream.similarity import GrayFrame, SsimParams
 
 
 def naive_luma(rgb: np.ndarray) -> np.ndarray:
@@ -32,6 +32,41 @@ def naive_luma(rgb: np.ndarray) -> np.ndarray:
     acc += 500
     acc //= 1000
     return acc.astype(np.uint8)
+
+
+def _coverage_matrix(src: int, target: int) -> np.ndarray:
+    """Dense (target, src) int64 matrix: entry (j, c) is how much of source
+    cell c lies in output run j, in units of 1/target of a cell. Run j spans
+    [j*src, (j+1)*src) and cell c spans [c*target, (c+1)*target)."""
+    m = np.zeros((target, src), dtype=np.int64)
+    for j in range(target):
+        lo, hi = j * src, (j + 1) * src
+        for c in range(lo // target, min(src, -(-hi // target))):
+            m[j, c] = min(hi, (c + 1) * target) - max(lo, c * target)
+    return m
+
+
+def naive_box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
+    """Exact area average of an (h, w) uint8 image at (th, tw), rounded half
+    up, as ``Wy @ img @ Wx.T`` over dense int64 coverage matrices. Each
+    output cell's sum is in units of 1/(th*tw) of a pixel and its area is
+    h*w such units."""
+    h, w = gray.shape
+    sums = np.linalg.multi_dot(
+        [_coverage_matrix(h, th), gray.astype(np.int64), _coverage_matrix(w, tw).T]
+    )
+    area = h * w
+    return ((2 * sums + area) // (2 * area)).astype(np.uint8)
+
+
+def _naive_prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:
+    """The frame at the comparison size; frames already at or below it on
+    an axis keep that axis, and a frame at or below it on both passes
+    through unchanged."""
+    tw, th = min(p.downsample_w, g.width), min(p.downsample_h, g.height)
+    if (tw, th) == (g.width, g.height):
+        return g
+    return GrayFrame.from_array(naive_box_downsample(g.samples, tw, th))
 
 
 def naive_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
@@ -99,17 +134,17 @@ def naive_filter_sequence(
 ) -> list[FilteredFrame]:
     """Reference correlator: materializes every window explicitly.
 
-    Re-derives similarity per pair with ``naive_pair_ssim`` (no caching,
-    no library kernel) and applies the noise elimination and
-    missed-detection rules with straightforward loops over its own scalar
-    ``_iou`` and ``_adaptive_threshold``.
+    Downsamples with ``naive_box_downsample``, re-derives similarity per
+    pair with ``naive_pair_ssim`` (no caching, no library kernel) and applies
+    the noise elimination and missed-detection rules with straightforward
+    loops over its own scalar ``_iou`` and ``_adaptive_threshold``.
     """
     cfg = cfg or IscuConfig()
     if len(frames) != len(detections):
         raise InputError("frame/detection length mismatch")
     n = len(frames)
     h = cfg.half_window
-    lumas = [prepare_luma(f, cfg.ssim_params) for f in frames]
+    lumas = [_naive_prepare_luma(f, cfg.ssim_params) for f in frames]
     gated = [
         FrameDetections(
             d.meta, tuple(b for b in d.boxes if b.confidence > cfg.confidence_gate)

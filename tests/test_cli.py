@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -341,6 +342,18 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{which}.txt: line 2: frame index 99999999999 beyond 1000000 frames" in err
+
+    @pytest.mark.parametrize("length", ["99999999999", "1000001", "-1"])
+    def test_declared_length_out_of_range_exit_1(self, tmp_path, capsys, length):
+        # every declared frame gets an entry, so 10**11 would take hours
+        det, gt = self._write_pair(tmp_path, ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"])
+        args = ["eval", "--detections", str(det), "--ground-truth", str(gt)]
+        t0 = time.perf_counter()
+        code = run_cli([*args, "--num-frames", length])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"det.txt: declared length {length} outside [0, 1000000] frames" in err
 
     def test_record_wholly_left_of_frame_exit_1(self, tmp_path, capsys):
         det, gt = self._write_pair(

@@ -1,11 +1,12 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polypstream import correlator
+from polypstream import correlator, kernels
 from polypstream.correlator import (
     CorrelationWindow,
     FrameOverlaps,
@@ -26,7 +27,7 @@ from polypstream.geometry import (
     ScoredBox,
     iou,
 )
-from polypstream.similarity import GrayFrame, ssim
+from polypstream.similarity import GrayFrame, SsimParams, ssim
 from polypstream.synthetic import (
     ConfidenceModel,
     ScenarioConfig,
@@ -68,8 +69,6 @@ def noise_similarity(center, n=7):
 
 
 def small_cfg(**kw):
-    from polypstream.similarity import SsimParams
-
     kw.setdefault("ssim_params", SsimParams(downsample_w=W, downsample_h=H))
     return IscuConfig(**kw)
 
@@ -254,7 +253,7 @@ class TestCorrectMissed:
         assert len(added) == 2
 
 
-def tiny_scenario(seed, n_frames=40, **overrides):
+def tiny_scenario(seed, n_frames=40, size=(W, H), **overrides):
     track = TrackSpec(
         start=BoundingBox(8.0, 8.0, 24.0, 24.0),
         velocity=(0.4, 0.2),
@@ -262,8 +261,8 @@ def tiny_scenario(seed, n_frames=40, **overrides):
         wobble_period=(13.0, 17.0),
     )
     cfg = ScenarioConfig(
-        frame_w=W,
-        frame_h=H,
+        frame_w=size[0],
+        frame_h=size[1],
         n_frames=n_frames,
         rng_seed=seed,
         tracks=(track,),
@@ -279,8 +278,6 @@ def tiny_scenario(seed, n_frames=40, **overrides):
 
 
 def scenario_cfg():
-    from polypstream.similarity import SsimParams
-
     return IscuConfig(ssim_params=SsimParams(downsample_w=W, downsample_h=H))
 
 
@@ -452,6 +449,35 @@ class TestStreamBatchOracle:
 
         assert streamed == batch == naive
 
+    @pytest.mark.parametrize(
+        "size, path",
+        [((64, 48), "divisible"), ((80, 60), "short-period"), ((67, 53), "long-period")],
+    )
+    def test_three_way_equivalence_resampled(self, size, path):
+        # frames above the 32x24 comparison size, so every frame is
+        # downsampled: the library's kernel against the oracle's dense one,
+        # on each downsample path
+        period = max(t // math.gcd(s, t) for s, t in zip(size, (32, 24)))
+        assert path == (
+            "divisible" if period == 1
+            else "short-period" if period <= kernels._MATMUL_PERIOD
+            else "long-period"
+        )
+        sc = tiny_scenario(3, size=size)
+        frames, det_list = list(sc.frames), list(sc.raw_detections)
+        cfg = IscuConfig(ssim_params=SsimParams(downsample_w=32, downsample_h=24))
+
+        batch = process_sequence(frames, det_list, cfg)
+        c = StreamCorrelator(cfg)
+        streamed = []
+        for f, d in zip(frames, det_list):
+            out = c.push_frame(f, d)
+            if out is not None:
+                streamed.append(out)
+        streamed.extend(c.flush())
+
+        assert streamed == batch == naive_filter_sequence(frames, det_list, cfg)
+
     def test_deterministic(self):
         sc = tiny_scenario(7)
         cfg = scenario_cfg()
@@ -515,8 +541,6 @@ class TestSweepSequence:
             c.push_scored(dets(1), ())
 
     def test_configs_must_share_ssim_params(self):
-        from polypstream.similarity import SsimParams
-
         other = small_cfg(ssim_params=SsimParams(downsample_w=W // 2, downsample_h=H // 2))
         with pytest.raises(ValueError):
             list(sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other]))

@@ -7,13 +7,11 @@ from polypstream.errors import InputError
 from polypstream.evaluation import (
     FrameOutcome,
     aggregate,
-    average_precision,
     evaluate_sequences,
     match_boxes,
     match_frame,
     mpt,
     pdr,
-    pr_curve,
 )
 from polypstream.geometry import (
     BoundingBox,
@@ -149,11 +147,17 @@ class TestAggregate:
             assert rep.f2 > rep.f1
 
 
+def report_map(dets, gts):
+    """``EvalReport.map`` of one sequence with corner-form ground truth."""
+    annotations = [[corners_to_centroid(g, f"p{i}") for i, g in enumerate(f)] for f in gts]
+    return evaluate_sequences([(dets, annotations)]).map
+
+
 class TestAveragePrecision:
     def test_perfect_detector(self):
         gts = [[bb(0, 0, 10, 10)], [bb(20, 20, 40, 40)]]
         dets = [[sb(0, 0, 10, 10, 0.9)], [sb(20, 20, 40, 40, 0.8)]]
-        assert average_precision(dets, gts) == pytest.approx(1.0)
+        assert report_map(dets, gts) == pytest.approx(1.0)
 
     def test_tp_fp_tp_staircase(self):
         # confidence order: TP(0.9), FP(0.8), TP(0.7) with 2 ground truths
@@ -162,23 +166,26 @@ class TestAveragePrecision:
             [sb(0, 0, 10, 10, 0.9), sb(80, 80, 90, 90, 0.8)],
             [sb(50, 50, 60, 60, 0.7)],
         ]
-        assert average_precision(dets, gts) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
+        assert report_map(dets, gts) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
 
     def test_all_false_positives(self):
         gts = [[bb(0, 0, 10, 10)]]
         dets = [[sb(50, 50, 60, 60, 0.9), sb(70, 70, 80, 80, 0.8)]]
-        assert average_precision(dets, gts) == 0.0
+        assert report_map(dets, gts) == 0.0
 
-    def test_no_ground_truth_rejected(self):
-        with pytest.raises(InputError):
-            average_precision([[sb(0, 0, 10, 10)]], [[]])
+    def test_no_ground_truth_has_no_map(self):
+        assert report_map([[sb(0, 0, 10, 10)]], [[]]) is None
 
     def test_pr_points_monotone_recall(self):
         r = np.random.default_rng(1)
-        dets, gts = _random_dataset(r, 8)
-        points = pr_curve(dets, gts)
-        recalls = [p.recall for p in points]
+        confidences = r.random(60).round(1)
+        marks = r.choice(["tp", "fp", "dup"], 60)
+        pool = [(float(c), str(m)) for c, m in zip(confidences, marks)]
+        points = evaluation._pr_points(pool, 60)
+        recalls = [recall for recall, _ in points]
         assert recalls == sorted(recalls)
+        # one point per distinct confidence once a tp or fp has been seen
+        assert len(points) <= len({c for c, _ in pool})
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -187,7 +194,7 @@ class TestAveragePrecision:
         dets, gts = _random_dataset(r, 5)
         if sum(len(g) for g in gts) == 0:
             return
-        got = average_precision(dets, gts)
+        got = report_map(dets, gts)
         want = naive_average_precision(dets, gts)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -316,7 +323,7 @@ class TestEvaluateSequences:
         monkeypatch.undo()
         dets = [d for d, _ in frames]
         gts = [[bb(10, 10, 30, 30)] if g else [] for _, g in frames]
-        assert rep.map == average_precision(dets, gts)
+        assert rep.map == pytest.approx(naive_average_precision(dets, gts), abs=1e-12)
 
     def test_iou_cut_outside_unit_interval_rejected(self):
         # a cut below 0 would count this disjoint pair as a true positive

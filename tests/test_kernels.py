@@ -1,11 +1,12 @@
 """Each hot kernel checked against an exact or naive oracle."""
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
-from oracles import naive_luma
+from oracles import naive_box_downsample, naive_luma
 
 from polypstream import kernels
 from polypstream.cli import run_cli
@@ -68,6 +69,72 @@ class TestDownsampleExactness:
         got = kernels.box_downsample(g, tw, th)
         want = self.brute_force(g, tw, th)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shape,target",
+        [((12, 16), (4, 3)), ((17, 23), (5, 7)), ((97, 131), (40, 33)), ((100, 7), (2, 9))],
+    )
+    def test_oracle_matches_exact_reference(self, shape, target):
+        g = random_gray(rng(8), *shape)
+        assert np.array_equal(naive_box_downsample(g, *target), self.brute_force(g, *target))
+
+    @pytest.mark.parametrize(
+        "size,target",
+        [
+            # the benchmark workloads: divisible, short periods (5 rows, 2
+            # columns), divisible
+            ((1280, 1080), (160, 120)),
+            ((720, 576), (160, 120)),
+            ((320, 240), (160, 120)),
+            # row period 15 on divisible columns; periods 20 (rows) and 32
+            ((1280, 1024), (160, 120)),
+            ((1225, 966), (160, 120)),
+            # long periods on both axes, then on the columns or the rows alone
+            ((719, 577), (160, 120)),
+            ((719, 576), (160, 120)),
+            ((720, 577), (160, 120)),
+            # a large odd target: periods 1279 (columns) and 359 (rows)
+            ((1280, 1080), (1279, 1077)),
+            # one axis kept at its size
+            ((720, 576), (720, 120)),
+            ((720, 576), (160, 576)),
+        ],
+    )
+    def test_matches_oracle(self, size, target):
+        (w, h), (tw, th) = size, target
+        g = random_gray(rng(w + h), h, w)
+        np.testing.assert_array_equal(
+            kernels.box_downsample(g, tw, th), naive_box_downsample(g, tw, th)
+        )
+
+    @pytest.mark.parametrize("cells", [65792, 65795])
+    def test_all_255_either_side_of_float32_limit(self, cells):
+        # a run of `cells` samples of 255 sums to 255 * cells: 16 776 960,
+        # just below 2**24, at 65792 (float32), and 16 777 725 at 65795
+        # (float64); 3 runs of one coverage period, on the rows, then on the
+        # columns
+        dtype = np.float32 if cells == 65792 else np.float64
+        assert kernels._coverage(cells, 3, 255)[0].dtype == dtype
+        for shape, (tw, th) in (((cells, 2), (2, 3)), ((2, cells), (3, 2))):
+            g = np.full(shape, 255, dtype=np.uint8)
+            got = kernels.box_downsample(g, tw, th)
+            np.testing.assert_array_equal(got, naive_box_downsample(g, tw, th))
+            assert np.all(got == 255)
+
+    def test_long_period_builds_no_weights(self, monkeypatch):
+        # 65795 rows onto 21931 have period 21931, so their weights would be
+        # 65795 x 21931 floats; the run sums take it. (The dense oracle's
+        # coverage matrix is as large, hence a constant frame.)
+        coverage = kernels._coverage
+
+        def short_only(src, target, largest):
+            period = target // math.gcd(src, target)
+            assert period <= kernels._MATMUL_PERIOD, f"weights for period {period}"
+            return coverage(src, target, largest)
+
+        monkeypatch.setattr(kernels, "_coverage", short_only)
+        g = np.full((65795, 1), 173, dtype=np.uint8)
+        assert np.all(kernels.box_downsample(g, 1, 21931) == 173)
 
     @staticmethod
     def block_mean(g, tw, th):
