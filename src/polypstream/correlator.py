@@ -15,9 +15,8 @@ elimination never feeds correction. A window carries these detections, each
 frame's similarity to the center and each frame's *overlap facts* as plain
 data, all scored once per frame pair as the later frame arrives:
 
-* the *similarity band* holds each frame's similarity to the frames before
-  it; ``sweep_sequence`` scores one band and replays it for several half
-  windows;
+* each frame keeps its similarity to the up to ``half_window`` frames
+  before it;
 * the overlap facts come from one IoU matrix between a frame's boxes and
   those of the up to ``2*half_window`` frames before it. They give each box
   its *support* (the frames holding a box above the box's own adaptive
@@ -25,6 +24,10 @@ data, all scored once per frame pair as the later frame arrives:
   sides of every pair. Elimination counts support frames among the pool;
   correction's greedy claim loop reads the partner lists. Scalar ``iou`` is
   left only to check interpolated boxes against the center's detections.
+
+Facts scored at one half window are exact for every narrower window around
+the same center, so ``sweep_sequence`` runs one correlator at the widest
+half window and cuts each config's window out of it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -85,15 +88,16 @@ class CorrelationWindow:
 
     ``similarity[i]`` is frame ``i``'s similarity to the center frame; the
     center's own entry is unused. ``overlaps`` holds each frame's overlap
-    facts when the stream scored them at push time; a window built by hand
-    has none, and the passes derive them from ``frames``.
+    facts, as the stream scored them at push time. When absent they are
+    derived from ``frames`` over every pair, with every overlapping box as a
+    fill partner (``correct_missed`` keeps those above ``fill_iou``).
     """
 
     frames: tuple[FrameDetections, ...]
     center: int
     similarity: tuple[float, ...]
     overlaps: tuple[FrameOverlaps, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -107,6 +111,13 @@ class CorrelationWindow:
         indices = [f.meta.frame_index for f in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError(f"window frame indices must be strictly increasing: {indices}")
+        if self.overlaps is None:
+            facts = tuple(FrameOverlaps(f) for f in self.frames)
+            for k, new in enumerate(facts):
+                _link(facts[:k], new, 0.0)
+            object.__setattr__(self, "overlaps", facts)
+        elif len(self.overlaps) != n:
+            raise ValueError(f"{len(self.overlaps)} overlap facts for {n} frames")
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,8 @@ class FrameOverlaps:
     its boxes against those of the frames before it (``_link``). For box
     ``j``, ``support[j]`` is the set of frame indices holding a box whose IoU
     with it exceeds its own adaptive threshold, and ``partners[j]`` lists
-    ``(frame index, box index, IoU)`` for every box above ``fill_iou``, in
-    frame then box order.
+    ``(frame index, box index, IoU)`` for every box above ``_link``'s
+    ``fill_iou``, in frame then box order.
     """
 
     __slots__ = ("index", "cols", "thresholds", "support", "partners")
@@ -193,17 +204,6 @@ def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps, fill_iou: float)
                     new.partners[j].append((f, i, v))
 
 
-def _window_overlaps(window: CorrelationWindow, cfg: IscuConfig) -> tuple[FrameOverlaps, ...]:
-    """The window's overlap facts: those scored at push time, or for a window
-    built by hand the same facts derived over every pair of its frames."""
-    if window.overlaps is not None:
-        return window.overlaps
-    facts = tuple(FrameOverlaps(f) for f in window.frames)
-    for k, new in enumerate(facts):
-        _link(facts[:k], new, cfg.fill_iou)
-    return facts
-
-
 def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
     """Center boxes that survive the cross-frame noise test, in input order.
 
@@ -237,7 +237,7 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
         required = lambda c: c >= quorum
 
     pool_ids = {f.meta.frame_index for f in pool}
-    support = _window_overlaps(window, cfg)[window.center].support
+    support = window.overlaps[window.center].support
     return tuple(sb for sb, s in zip(center.boxes, support) if required(len(s & pool_ids)))
 
 
@@ -256,7 +256,7 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
     if not any(i < c for i in neighbor_ids) or not any(i > c for i in neighbor_ids):
         return ()
 
-    overlaps = _window_overlaps(window, cfg)
+    overlaps = window.overlaps
     position = {frames[i].meta.frame_index: i for i in neighbor_ids}
     claimed: set[tuple[int, int]] = set()
     added: list[ScoredBox] = []
@@ -271,7 +271,7 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
             best: dict[int, tuple[float, int]] = {}
             for f, obi, v in overlaps[si].partners[bi]:
                 oi = position.get(f)
-                if oi is None or (oi, obi) in claimed:
+                if oi is None or v <= cfg.fill_iou or (oi, obi) in claimed:
                     continue
                 if oi not in best or v > best[oi][0]:
                     best[oi] = (v, obi)
@@ -306,19 +306,11 @@ class StreamCorrelator:
 
     The result for a frame is emitted once ``half_window`` later frames have
     arrived; ``flush()`` drains the trailing frames with whatever neighbors
-    remain. ``push_frame`` is two steps:
-
-    * ``score_frame`` prepares the frame's comparison luma and returns its
-      similarity to each of the up to ``half_window`` frames before it,
-      oldest first; only those earlier frames' luma is retained;
-    * ``push_scored`` gates the detections, checks the index order, scores
-      their overlaps with the buffered frames, buffers them with those
-      similarities and overlap facts and emits what is due.
-
-    Each frame's similarities are its row of the *similarity band*. A band
-    scored at a wider half window replays through ``push_scored`` unchanged,
-    which keeps only the last ``half_window`` entries of each row; that is
-    how ``sweep_sequence`` scores a sequence once for several half windows.
+    remain. A push prepares the frame's comparison luma and scores its
+    similarity to each of the up to ``half_window`` frames before it (only
+    those frames' luma is retained). It then gates the detections, scores
+    their overlaps with the up to ``2*half_window`` buffered frames before it
+    and buffers them with those similarities and overlap facts.
     """
 
     def __init__(self, cfg: IscuConfig | None = None) -> None:
@@ -337,12 +329,22 @@ class StreamCorrelator:
     def push_frame(
         self, frame: GrayFrame, dets: FrameDetections
     ) -> FilteredFrame | None:
-        self._check_order(dets.meta)  # before scoring, so a rejected frame leaves no luma
-        return self.push_scored(dets, self.score_frame(frame, dets.meta))
+        return self._emit((self.cfg,))[0] if self._push(frame, dets) else None
 
-    def score_frame(self, frame: GrayFrame, meta: FrameMeta) -> tuple[float, ...]:
-        """The frame's band row: ``ssim(earlier, frame)`` for each of the up
-        to ``half_window`` frames scored before it, oldest first."""
+    def flush(self) -> list[FilteredFrame]:
+        """Emit results for every frame still buffered (end of stream)."""
+        return [self._emit((self.cfg,))[0] for _ in range(self._next_emit, self._n_pushed)]
+
+    # internal ------------------------------------------------------------
+
+    def _push(self, frame: GrayFrame, dets: FrameDetections) -> bool:
+        """Score and buffer one frame; True when the next center is due."""
+        meta = dets.meta
+        # checked before scoring, so a rejected frame leaves no luma
+        if self._last_index is not None and meta.frame_index <= self._last_index:
+            raise SequencingError(
+                f"frame index {meta.frame_index} not after {self._last_index}"
+            )
         if (frame.width, frame.height) != (meta.width, meta.height):
             raise InputError(
                 f"frame {frame.width}x{frame.height} does not match detection "
@@ -359,22 +361,6 @@ class StreamCorrelator:
         luma = prepare_luma(frame, p)
         back = tuple(ssim(earlier, luma, p) for earlier in self._lumas)
         self._lumas.append(luma)
-        return back
-
-    def push_scored(
-        self, dets: FrameDetections, back: tuple[float, ...]
-    ) -> FilteredFrame | None:
-        """Push a frame's detections with its band row (``score_frame``'s
-        result at this or any wider half window)."""
-        meta = dets.meta
-        self._check_order(meta)
-        h = self.cfg.half_window
-        back = back[-h:]
-        if len(back) != min(self._n_pushed, h):
-            raise ValueError(
-                f"frame {meta.frame_index} needs {min(self._n_pushed, h)} "
-                f"similarities to the frames before it, got {len(back)}"
-            )
         self._last_index = meta.frame_index
 
         gated = FrameDetections(
@@ -387,65 +373,41 @@ class StreamCorrelator:
         _link([entry[2] for entry in self._buffer], overlaps, self.cfg.fill_iou)
         self._buffer.append((gated, back, overlaps))
         self._n_pushed += 1
-        if self._n_pushed - 1 >= self._next_emit + h:
-            return self._emit()
-        return None
-
-    def flush(self) -> list[FilteredFrame]:
-        """Emit results for every frame still buffered (end of stream)."""
-        out = []
-        while self._next_emit < self._n_pushed:
-            out.append(self._emit())
-        return out
-
-    # internal ------------------------------------------------------------
-
-    def _check_order(self, meta: FrameMeta) -> None:
-        if self._last_index is not None and meta.frame_index <= self._last_index:
-            raise SequencingError(
-                f"frame index {meta.frame_index} not after {self._last_index}"
-            )
+        return self._n_pushed - 1 >= self._next_emit + self.cfg.half_window
 
     def _base(self) -> int:
         return self._n_pushed - len(self._buffer)
 
-    def _emit(self) -> FilteredFrame:
-        h = self.cfg.half_window
+    def _emit(self, cfgs: Sequence[IscuConfig]) -> list[FilteredFrame]:
+        """The next center's result at each config, whose half window ``h``
+        is at most this correlator's: the buffered window cut down to
+        ``[c - h, c + h]``, clipped at the sequence ends."""
         center_pos = self._next_emit
         base = self._base()
-        lo = max(0, center_pos - h)
-        hi = min(self._n_pushed - 1, center_pos + h)
-        frames, backs, overlaps = zip(*(self._buffer[p - base] for p in range(lo, hi + 1)))
-        c = center_pos - lo
-        # each pair's similarity is stored with its later frame; the center's
-        # own list covers exactly the c frames before it
-        similarity = backs[c] + (1.0,) + tuple(backs[k][c - k] for k in range(c + 1, len(frames)))
-        window = CorrelationWindow(frames, c, similarity)
-        object.__setattr__(window, "overlaps", overlaps)
-        kept = eliminate_noise(window, self.cfg)
-        added = correct_missed(window, self.cfg)
-        center = frames[c]
-        result = FilteredFrame(center.meta, kept, added, len(center.boxes) - len(kept))
+        results = []
+        for cfg in cfgs:
+            h = cfg.half_window
+            lo = max(0, center_pos - h)
+            hi = min(self._n_pushed - 1, center_pos + h)
+            frames, backs, overlaps = zip(*(self._buffer[p - base] for p in range(lo, hi + 1)))
+            c = center_pos - lo
+            # each pair's similarity is stored with its later frame, oldest
+            # first; the center's own list ends with the c frames before it
+            similarity = (
+                backs[c][len(backs[c]) - c:]
+                + (1.0,)
+                + tuple(backs[k][c - k] for k in range(c + 1, len(frames)))
+            )
+            window = CorrelationWindow(frames, c, similarity, overlaps)
+            kept = eliminate_noise(window, cfg)
+            added = correct_missed(window, cfg)
+            center = frames[c]
+            results.append(FilteredFrame(center.meta, kept, added, len(center.boxes) - len(kept)))
         self._next_emit += 1
-        keep_from = self._next_emit - h
+        keep_from = self._next_emit - self.cfg.half_window
         while self._base() < keep_from and self._buffer:
             self._buffer.popleft()
-        return result
-
-
-def _check_lengths(frames: Collection[GrayFrame], detections: Sequence[FrameDetections]) -> None:
-    if len(frames) != len(detections):
-        raise InputError(
-            f"{len(frames)} frames but {len(detections)} detection sets"
-        )
-
-
-def _drain(
-    correlator: StreamCorrelator, pushed: Iterable[FilteredFrame | None]
-) -> list[FilteredFrame]:
-    out = [r for r in pushed if r is not None]
-    out.extend(correlator.flush())
-    return out
+        return results
 
 
 def process_sequence(
@@ -459,29 +421,34 @@ def process_sequence(
     sequence, and is iterated once: each frame is dropped once pushed, so
     only the window's comparison luma stays alive.
     """
-    _check_lengths(frames, detections)
-    correlator = StreamCorrelator(cfg)
-    return _drain(correlator, map(correlator.push_frame, frames, detections))
+    return sweep_sequence(frames, detections, [cfg or IscuConfig()])[0]
 
 
 def sweep_sequence(
     frames: Collection[GrayFrame],
     detections: Sequence[FrameDetections],
     cfgs: Sequence[IscuConfig],
-) -> Iterator[list[FilteredFrame]]:
-    """``process_sequence`` at each config in turn, from one similarity band.
+) -> list[list[FilteredFrame]]:
+    """``process_sequence`` at each config, from one pass over the frames.
 
-    ``frames`` is any sized iterable, iterated once. The band is scored in
-    that one pass, at the widest half window, before the first result; each
-    config then replays ``push_scored`` over it. The configs must share
-    ``ssim_params``.
+    One correlator runs at the widest half window and emits each center at
+    every config. The configs must share ``ssim_params``, ``confidence_gate``
+    and ``fill_iou``: the similarities, the gated boxes and their overlap
+    facts are scored once for all of them.
     """
-    _check_lengths(frames, detections)
+    if len(frames) != len(detections):
+        raise InputError(f"{len(frames)} frames but {len(detections)} detection sets")
     widest = max(cfgs, key=lambda c: c.half_window)
-    if any(c.ssim_params != widest.ssim_params for c in cfgs):
-        raise ValueError("sweep configs must share ssim_params")
-    scorer = StreamCorrelator(widest)
-    band = [scorer.score_frame(f, d.meta) for f, d in zip(frames, detections)]
-    for cfg in cfgs:
-        correlator = StreamCorrelator(cfg)
-        yield _drain(correlator, map(correlator.push_scored, detections, band))
+
+    def shared(c: IscuConfig) -> tuple:
+        return c.ssim_params, c.confidence_gate, c.fill_iou
+
+    if any(shared(c) != shared(widest) for c in cfgs):
+        raise ValueError("sweep configs must share ssim_params, confidence_gate and fill_iou")
+    correlator = StreamCorrelator(widest)
+    rows = []
+    for frame, dets in zip(frames, detections):
+        if correlator._push(frame, dets):
+            rows.append(correlator._emit(cfgs))
+    rows.extend(correlator._emit(cfgs) for _ in range(correlator._next_emit, correlator._n_pushed))
+    return [[row[k] for row in rows] for k in range(len(cfgs))]

@@ -72,8 +72,15 @@ class SsimParams:
     downsample_h: int = 120
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
+        for name in ("k1", "k2"):
+            value = getattr(self, name)
+            scaled = value * _DYNAMIC_RANGE
+            # false for NaN and inf, and for a value whose constant overflows
+            if not (value > 0 and math.isfinite(scaled * scaled)):
+                raise ValueError(
+                    f"{name} (ssim_{name}) must be positive and finite, with a "
+                    f"finite ({name} * 255) ** 2, got {value}"
+                )
         if self.downsample_w <= 0 or self.downsample_h <= 0:
             raise ValueError("downsample dimensions must be positive")
 

@@ -248,11 +248,34 @@ def _naive_fill(t, neighbor_ids, gated, cfg):
     return added
 
 
+def _naive_match(dets, gts, iou_cut):
+    """(tp, fp) of one frame by the greedy rule, on the oracle's own ``_iou``:
+    detections in descending confidence, the first listed on a tie, each
+    claim the unclaimed ground truth of highest IoU above the cut, the first
+    listed on a tie. A detection above the cut only on claimed ground truth
+    is a duplicate, neither TP nor FP."""
+    claimed = set()
+    tp = fp = 0
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i)):
+        best, best_v, overlaps = None, None, False
+        for j, g in enumerate(gts):
+            v = _iou(dets[i].box, g)
+            if v <= iou_cut:
+                continue
+            overlaps = True
+            if j not in claimed and (best is None or v > best_v):
+                best, best_v = j, v
+        if best is not None:
+            claimed.add(best)
+            tp += 1
+        elif not overlaps:
+            fp += 1
+    return tp, fp
+
+
 def naive_average_precision(detections, ground_truths, iou_cut=0.5) -> float:
     """Re-run full matching at every distinct threshold, then integrate the
     enveloped staircase over recall."""
-    from polypstream.evaluation import match_frame
-
     total_gt = sum(len(g) for g in ground_truths)
     thresholds = sorted(
         {d.confidence for dets in detections for d in dets}, reverse=True
@@ -261,10 +284,9 @@ def naive_average_precision(detections, ground_truths, iou_cut=0.5) -> float:
     for c in thresholds:
         tp = fp = 0
         for dets, gts in zip(detections, ground_truths):
-            filtered = [d for d in dets if d.confidence >= c]
-            outcome = match_frame(filtered, list(gts), iou_cut)
-            tp += outcome.tp
-            fp += outcome.fp
+            frame_tp, frame_fp = _naive_match([d for d in dets if d.confidence >= c], gts, iou_cut)
+            tp += frame_tp
+            fp += frame_fp
         if tp + fp:
             points.append((tp / total_gt, tp / (tp + fp)))
     ap = 0.0

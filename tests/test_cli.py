@@ -426,6 +426,52 @@ class TestSsimCommand:
         assert out.startswith("ssim = 1.000000")
 
 
+class TestNonFiniteSsimConstants:
+    """k1 and k2 must be finite and positive, with a finite stabilising
+    constant; a NaN would make every similarity NaN and silently send every
+    center to the fixed-quorum fallback."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ssim_k1", "nan"),
+            ("ssim_k1", "inf"),
+            ("ssim_k1", "1e400"),  # parses as inf
+            ("ssim_k2", "nan"),
+            ("ssim_k2", "1e200"),  # (k2 * 255) ** 2 overflows
+        ],
+    )
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["ssim", "filter"])
+    def test_rejected_exit_1_without_output(self, tmp_path, capsys, command, form, key, value):
+        root, _ = make_scenario_dir(tmp_path, n_frames=6)
+        out = tmp_path / "filtered.txt"
+        if command == "ssim":
+            frames = root / "frames"
+            args = ["ssim", str(frames / "000000.pgm"), str(frames / "000001.pgm")]
+        else:
+            args = [
+                "filter",
+                "--frames",
+                str(root / "frames"),
+                "--detections",
+                str(root / "detections.txt"),
+                "--output",
+                str(out),
+            ]
+        if form == "flag":
+            args += [f"--{key.replace('_', '-')}", value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n")
+            args += ["--config", str(config)]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestSynthCommand:
     def test_writes_scenario(self, tmp_path, capsys):
         out = tmp_path / "scen"

@@ -128,6 +128,11 @@ class TestWindowType:
         with pytest.raises(ValueError):
             window_of([dets(0), dets(1)], 0, similarity=(1.0,))
 
+    def test_overlaps_length_must_match(self):
+        frames = (dets(0), dets(1))
+        with pytest.raises(ValueError, match="1 overlap facts for 2 frames"):
+            CorrelationWindow(frames, 0, (1.0, 1.0), (FrameOverlaps(frames[0]),))
+
 
 class TestEliminateNoise:
     def test_box_present_everywhere_is_kept(self):
@@ -513,6 +518,11 @@ class TestStreamBatchOracle:
         assert process_sequence(frames, det_list, cfg) == naive_filter_sequence(
             frames, det_list, cfg
         )
+        # every half window cut out of one pass at the widest
+        cfgs = [derive_sweep_config(IscuConfig(), n) for n in (1, 2, 3, 4)]
+        assert sweep_sequence(frames, det_list, cfgs) == [
+            naive_filter_sequence(frames, det_list, c) for c in cfgs
+        ]
 
 
 class TestSweepSequence:
@@ -521,29 +531,21 @@ class TestSweepSequence:
         frames, det_list = list(sc.frames), list(sc.raw_detections)
         # unsorted, and one half window longer than the sequence
         cfgs = [derive_sweep_config(scenario_cfg(), n) for n in (3, 1, 40, 4, 2)]
-        swept = list(sweep_sequence(frames, det_list, cfgs))
+        swept = sweep_sequence(frames, det_list, cfgs)
         assert swept == [process_sequence(frames, det_list, cfg) for cfg in cfgs]
         assert swept[1] == naive_filter_sequence(frames, det_list, cfgs[1])
-
-    def test_band_row_keeps_last_half_window_entries(self):
-        wide = StreamCorrelator(small_cfg(half_window=4))
-        narrow = StreamCorrelator(small_cfg(half_window=2))
-        for i in range(6):
-            frame = noise_frame(i)
-            row = wide.score_frame(frame, dets(i).meta)
-            assert len(row) == min(i, 4)
-            assert row[-2:] == narrow.score_frame(frame, dets(i).meta)
-
-    def test_short_band_row_rejected(self):
-        c = StreamCorrelator(small_cfg(half_window=2))
-        c.push_scored(dets(0), ())
-        with pytest.raises(ValueError, match="needs 1 similarities"):
-            c.push_scored(dets(1), ())
 
     def test_configs_must_share_ssim_params(self):
         other = small_cfg(ssim_params=SsimParams(downsample_w=W // 2, downsample_h=H // 2))
         with pytest.raises(ValueError):
-            list(sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other]))
+            sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other])
+
+    @pytest.mark.parametrize("field", ["confidence_gate", "fill_iou"])
+    def test_configs_must_share_gate_and_fill_iou(self, field):
+        # the gated boxes and their overlap facts are scored once for all
+        other = small_cfg(**{field: 0.4})
+        with pytest.raises(ValueError, match=field):
+            sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other])
 
 
 class TestMemory:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polypstream import evaluation
 from polypstream.errors import InputError
@@ -187,11 +187,28 @@ class TestAveragePrecision:
         # one point per distinct confidence once a tp or fp has been seen
         assert len(points) <= len({c for c, _ in pool})
 
-    @given(st.integers(0, 10_000))
+    @given(st.integers(0, 10_000).map(lambda seed: _random_dataset(np.random.default_rng(seed), 5)))
     @settings(max_examples=30, deadline=None)
-    def test_matches_per_threshold_oracle(self, seed):
-        r = np.random.default_rng(seed)
-        dets, gts = _random_dataset(r, 5)
+    # IoU exactly at the 0.5 cut: no match
+    @example(([[sb(0, 0, 10, 5, 0.9)]], [[bb(0, 0, 10, 10)]]))
+    # a duplicate on a claimed ground truth, then a TP: the duplicate is
+    # neither TP nor FP
+    @example(
+        (
+            [[sb(0, 0, 10, 10, 0.9), sb(0, 0, 10, 9, 0.8), sb(80, 80, 90, 90, 0.6)]],
+            [[bb(0, 0, 10, 10), bb(80, 80, 90, 90)]],
+        )
+    )
+    # two ground truths tie at IoU 0.8 for the first detection, which claims
+    # the first listed; the second detection overlaps only that one
+    @example(
+        (
+            [[sb(0, 0, 10, 10, 0.9), sb(0, 0, 10, 7, 0.8)]],
+            [[bb(0, 0, 10, 8), bb(0, 2, 10, 10)]],
+        )
+    )
+    def test_matches_per_threshold_oracle(self, dataset):
+        dets, gts = dataset
         if sum(len(g) for g in gts) == 0:
             return
         got = report_map(dets, gts)

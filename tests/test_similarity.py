@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,9 @@ class TestSsimParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SsimParams(k1=0)
+        for bad in (math.nan, math.inf, -math.inf, 1e200):
+            with pytest.raises(ValueError, match="k2"):
+                SsimParams(k2=bad)
         with pytest.raises(ValueError):
             SsimParams(downsample_w=0)
 
