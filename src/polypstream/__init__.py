@@ -23,7 +23,6 @@ from .evaluation import (
     evaluate_sequences,
     match_boxes,
     match_frame,
-    mpt,
     pdr,
 )
 from .geometry import (
@@ -86,7 +85,6 @@ __all__ = [
     "iou",
     "match_boxes",
     "match_frame",
-    "mpt",
     "pdr",
     "prepare_luma",
     "process_sequence",

@@ -14,7 +14,13 @@ import sys
 from pathlib import Path
 
 from .benchmark import bench_correlator, make_bench_detections, make_bench_frames
-from .config import CONFIG_KEYS, build_run_config, derive_sweep_config, parse_config_file
+from .config import (
+    CONFIG_KEYS,
+    ISCU_KEYS,
+    build_run_config,
+    derive_sweep_config,
+    parse_config_file,
+)
 from .correlator import process_sequence, sweep_sequence
 from .errors import InputError
 from .evaluation import EvalReport, evaluate_sequences
@@ -49,10 +55,11 @@ def _add_config_flags(p: argparse.ArgumentParser, exclude: tuple[str, ...] = ())
         p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None, dest=key)
 
 
-def _run_config(args: argparse.Namespace):
+def _run_config(args: argparse.Namespace, *fixed):
+    """The config file, then the flags, then ``fixed`` sources, later wins."""
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    return build_run_config(file_values, overrides)
+    return build_run_config(file_values, overrides, *fixed)
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -272,13 +279,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
     half_windows = _int_list(args.half_windows, "--half-window")
     if not half_windows:
         raise InputError("--half-window list is empty")
     for n in half_windows:
         if n < 1:
             raise InputError(f"half window must be >= 1, got {n}")
+    # the base stands at the widest swept window, whatever half_window a
+    # config file gives: a quorum set above it fits no swept window
+    rc = _run_config(args, {"half_window": max(half_windows)})
     _check_writable(args.json)
 
     frames, dets = _load_sequence(args.frames, args.detections)
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ssim", help="similarity score of two frames")
     p.add_argument("images", nargs=2)
-    _add_config_flags(p)
+    _add_config_flags(p, exclude=ISCU_KEYS)
     p.set_defaults(func=_cmd_ssim)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")

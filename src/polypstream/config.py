@@ -7,6 +7,11 @@ and of :class:`SsimParams`; a SsimParams field takes the ``ssim_`` prefix
 Each key has the type of its field's default, and an absent key keeps that
 default. The path keys ``frames_dir``, ``detections`` and ``output`` name the
 inputs and output of ``filter``. Unknown keys are rejected.
+
+A window has ``2*half_window`` neighbours, so a quorum above that can never
+be met. A quorum that no source sets is lowered to it; one that a source
+sets above it is an error. A sweep lowers every quorum at each narrower
+half window it runs (``derive_sweep_config``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .errors import InputError
 from .similarity import SsimParams
 
 _ISCU_FIELDS = {f.name: f for f in fields(IscuConfig) if f.name != "ssim_params"}
+ISCU_KEYS = tuple(_ISCU_FIELDS)
+_QUORUM_KEYS = ("fc_quorum", "fill_quorum")
 _SSIM_FIELDS = {
     f.name if f.name.startswith("downsample_") else f"ssim_{f.name}": f
     for f in fields(SsimParams)
@@ -89,21 +96,26 @@ def build_run_config(*sources: Mapping[str, Any]) -> RunConfig:
     def present(keyed_fields):
         return {f.name: merged[key] for key, f in keyed_fields.items() if key in merged}
 
+    iscu_values = present(_ISCU_FIELDS)
+    half_window = iscu_values.get("half_window", _ISCU_FIELDS["half_window"].default)
+    quorums = _fit_quorums(
+        {key: _ISCU_FIELDS[key].default for key in _QUORUM_KEYS}, half_window
+    )
     try:
         ssim_params = SsimParams(**present(_SSIM_FIELDS))
-        iscu = IscuConfig(ssim_params=ssim_params, **present(_ISCU_FIELDS))
+        iscu = IscuConfig(ssim_params=ssim_params, **{**quorums, **iscu_values})
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return RunConfig(iscu, **{key: merged.get(key) for key in _PATH_KEYS})
 
 
+def _fit_quorums(quorums: Mapping[str, int], half_window: int) -> dict[str, int]:
+    """Each quorum lowered to the ``2*half_window`` neighbours of a window."""
+    return {key: min(q, 2 * half_window) for key, q in quorums.items()}
+
+
 def derive_sweep_config(base: IscuConfig, half_window: int) -> IscuConfig:
-    """Config for one sweep point: quorums are clamped so they stay within
-    the smaller neighbor count."""
-    full = 2 * half_window
-    return replace(
-        base,
-        half_window=half_window,
-        fc_quorum=min(base.fc_quorum, full),
-        fill_quorum=min(base.fill_quorum, full),
-    )
+    """Config for one sweep point: ``base`` at ``half_window``, with its
+    quorums lowered to fit the smaller window."""
+    quorums = {key: getattr(base, key) for key in _QUORUM_KEYS}
+    return replace(base, half_window=half_window, **_fit_quorums(quorums, half_window))

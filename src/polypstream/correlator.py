@@ -19,15 +19,17 @@ data, all scored once per frame pair as the later frame arrives:
   before it;
 * the overlap facts come from one IoU matrix between a frame's boxes and
   those of the up to ``2*half_window`` frames before it. They give each box
-  its *support* (the frames holding a box above the box's own adaptive
-  threshold) and its *fill partners* (the boxes above ``fill_iou``), on both
-  sides of every pair. Elimination counts support frames among the pool;
-  correction's greedy claim loop reads the partner lists. Scalar ``iou`` is
-  left only to check interpolated boxes against the center's detections.
+  its *links*: every box of another frame that overlaps it at all, with the
+  IoU, on both sides of every pair. Each pass applies its own bar to them:
+  elimination counts the pool frames linked above the box's adaptive
+  threshold, and correction's greedy claim loop keeps the links above its
+  fill IoU. Scalar ``iou`` is left only to check interpolated boxes against
+  the center's detections.
 
-Facts scored at one half window are exact for every narrower window around
-the same center, so ``sweep_sequence`` runs one correlator at the widest
-half window and cuts each config's window out of it.
+Links carry no threshold, so facts scored at one half window are exact for
+every narrower window around the same center and every fill IoU:
+``sweep_sequence`` runs one correlator at the widest half window and cuts
+each config's window out of it.
 """
 
 from __future__ import annotations
@@ -89,8 +91,7 @@ class CorrelationWindow:
     ``similarity[i]`` is frame ``i``'s similarity to the center frame; the
     center's own entry is unused. ``overlaps`` holds each frame's overlap
     facts, as the stream scored them at push time. When absent they are
-    derived from ``frames`` over every pair, with every overlapping box as a
-    fill partner (``correct_missed`` keeps those above ``fill_iou``).
+    derived from ``frames`` over every pair by the stream's own ``_link``.
     """
 
     frames: tuple[FrameDetections, ...]
@@ -114,7 +115,7 @@ class CorrelationWindow:
         if self.overlaps is None:
             facts = tuple(FrameOverlaps(f) for f in self.frames)
             for k, new in enumerate(facts):
-                _link(facts[:k], new, 0.0)
+                _link(facts[:k], new)
             object.__setattr__(self, "overlaps", facts)
         elif len(self.overlaps) != n:
             raise ValueError(f"{len(self.overlaps)} overlap facts for {n} frames")
@@ -139,13 +140,12 @@ class FrameOverlaps:
 
     Filled in from both sides: when a frame is pushed, one IoU matrix scores
     its boxes against those of the frames before it (``_link``). For box
-    ``j``, ``support[j]`` is the set of frame indices holding a box whose IoU
-    with it exceeds its own adaptive threshold, and ``partners[j]`` lists
-    ``(frame index, box index, IoU)`` for every box above ``_link``'s
-    ``fill_iou``, in frame then box order.
+    ``j``, ``thresholds[j]`` is its adaptive IoU threshold and ``links[j]``
+    lists ``(frame index, box index, IoU)`` for every box of another frame
+    with IoU > 0, in frame then box order.
     """
 
-    __slots__ = ("index", "cols", "thresholds", "support", "partners")
+    __slots__ = ("index", "cols", "thresholds", "links")
 
     def __init__(self, dets: FrameDetections) -> None:
         boxes = [sb.box for sb in dets.boxes]
@@ -155,8 +155,7 @@ class FrameOverlaps:
             [(*b.as_tuple(), b.area) for b in boxes], dtype=np.float64
         ).reshape(-1, 5).T
         self.thresholds = [adaptive_iou_threshold(b, dets.meta) for b in boxes]
-        self.support: list[set[int]] = [set() for _ in boxes]
-        self.partners: list[list[tuple[int, int, float]]] = [[] for _ in boxes]
+        self.links: list[list[tuple[int, int, float]]] = [[] for _ in boxes]
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,9 +179,9 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter
 
 
-def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps, fill_iou: float) -> None:
+def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps) -> None:
     """Score ``new``'s boxes against every box of ``earlier`` with one IoU
-    matrix and record the support and fill partners it gives on both sides."""
+    matrix and record each overlapping pair on both sides."""
     earlier = [e for e in earlier if e.thresholds]
     if not earlier or not new.thresholds:
         return
@@ -191,17 +190,12 @@ def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps, fill_iou: float)
     t = new.index
     for e in earlier:
         f = e.index
-        for i, thr in enumerate(e.thresholds):
+        for i, links in enumerate(e.links):
             for j, v in enumerate(next(rows)):
-                if not v:
-                    continue
-                if v > thr:
-                    e.support[i].add(t)
-                if v > new.thresholds[j]:
-                    new.support[j].add(f)
-                if v > fill_iou:
-                    e.partners[i].append((t, j, v))
-                    new.partners[j].append((f, i, v))
+                # skips the signed zeros of disjoint boxes too
+                if v > 0.0:
+                    links.append((t, j, v))
+                    new.links[j].append((f, i, v))
 
 
 def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
@@ -237,8 +231,12 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
         required = lambda c: c >= quorum
 
     pool_ids = {f.meta.frame_index for f in pool}
-    support = window.overlaps[window.center].support
-    return tuple(sb for sb, s in zip(center.boxes, support) if required(len(s & pool_ids)))
+    facts = window.overlaps[window.center]
+    return tuple(
+        sb
+        for sb, thr, links in zip(center.boxes, facts.thresholds, facts.links)
+        if required(len({f for f, _, v in links if v > thr} & pool_ids))
+    )
 
 
 def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
@@ -267,9 +265,10 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
             if (si, bi) in claimed:
                 continue
             claimed.add((si, bi))
-            # best unclaimed partner per neighbor frame, the first on a tie
+            # best unclaimed link above fill_iou per neighbor frame, the first
+            # on a tie
             best: dict[int, tuple[float, int]] = {}
-            for f, obi, v in overlaps[si].partners[bi]:
+            for f, obi, v in overlaps[si].links[bi]:
                 oi = position.get(f)
                 if oi is None or v <= cfg.fill_iou or (oi, obi) in claimed:
                     continue
@@ -370,7 +369,7 @@ class StreamCorrelator:
         # the buffer holds the up to 2*h frames before this one: every pair
         # that can share a window
         overlaps = FrameOverlaps(gated)
-        _link([entry[2] for entry in self._buffer], overlaps, self.cfg.fill_iou)
+        _link([entry[2] for entry in self._buffer], overlaps)
         self._buffer.append((gated, back, overlaps))
         self._n_pushed += 1
         return self._n_pushed - 1 >= self._next_emit + self.cfg.half_window
@@ -432,8 +431,8 @@ def sweep_sequence(
     """``process_sequence`` at each config, from one pass over the frames.
 
     One correlator runs at the widest half window and emits each center at
-    every config. The configs must share ``ssim_params``, ``confidence_gate``
-    and ``fill_iou``: the similarities, the gated boxes and their overlap
+    every config. The configs must share ``ssim_params`` and
+    ``confidence_gate``: the similarities, the gated boxes and their overlap
     facts are scored once for all of them.
     """
     if len(frames) != len(detections):
@@ -441,10 +440,10 @@ def sweep_sequence(
     widest = max(cfgs, key=lambda c: c.half_window)
 
     def shared(c: IscuConfig) -> tuple:
-        return c.ssim_params, c.confidence_gate, c.fill_iou
+        return c.ssim_params, c.confidence_gate
 
     if any(shared(c) != shared(widest) for c in cfgs):
-        raise ValueError("sweep configs must share ssim_params, confidence_gate and fill_iou")
+        raise ValueError("sweep configs must share ssim_params and confidence_gate")
     correlator = StreamCorrelator(widest)
     rows = []
     for frame, dets in zip(frames, detections):

@@ -208,14 +208,6 @@ def pdr(detected_by_polyp: Mapping[str, bool]) -> float:
     return 100.0 * hits / len(detected_by_polyp)
 
 
-def mpt(per_frame_ms: Iterable[float]) -> float:
-    """Mean per-frame processing time in milliseconds."""
-    durations = list(per_frame_ms)
-    if not durations:
-        raise InputError("mean processing time requires at least one timed frame")
-    return sum(durations) / len(durations)
-
-
 def evaluate_sequences(
     sequences: Sequence[tuple[Sequence[object], Sequence[Sequence[GroundTruthBox]]]],
     iou_cut: float = 0.5,

@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import naive_luma
+from oracles import naive_filter_sequence, naive_luma
 
 import polypstream.cli as cli_mod
 from polypstream import correlator
 from polypstream.benchmark import make_bench_detections, make_bench_frames
 from polypstream.cli import run_cli
-from polypstream.config import derive_sweep_config
+from polypstream.config import ISCU_KEYS, derive_sweep_config
 from polypstream.correlator import IscuConfig, process_sequence
 from polypstream.evaluation import evaluate_sequences
 from polypstream.formats import (
@@ -425,6 +425,33 @@ class TestSsimCommand:
         out = capsys.readouterr().out
         assert out.startswith("ssim = 1.000000")
 
+    def test_help_lists_only_similarity_flags(self, capsys):
+        assert run_cli(["ssim", "--help"]) == 0
+        flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+        similarity = {"--ssim-k1", "--ssim-k2", "--downsample-w", "--downsample-h"}
+        assert flags == {"--help", "--config", *similarity}
+
+    @pytest.mark.parametrize("key", ISCU_KEYS)
+    def test_correlator_flag_rejected(self, capsys, key):
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(["ssim", "a.pgm", "b.pgm", flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_shared_config_file_accepted(self, tmp_path, capsys):
+        # a config file written for filter, at half window 1 with the
+        # default quorums, gives the same similarity
+        root, _ = make_scenario_dir(tmp_path, n_frames=2)
+        pair = [str(root / "frames" / f"00000{i}.pgm") for i in (0, 1)]
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "half_window = 1\nsimilarity_threshold = 0.7\nconfidence_gate = 0.5\n"
+            "fill_quorum = 1\nfill_iou = 0.9\n"
+        )
+        assert run_cli(["ssim", *pair]) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(["ssim", "--config", str(config), *pair]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestNonFiniteSsimConstants:
     """k1 and k2 must be finite and positive, with a finite stabilising
@@ -470,6 +497,80 @@ class TestNonFiniteSsimConstants:
         assert key in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestQuorumRule:
+    """A quorum that no source sets is lowered to the 2*half_window
+    neighbours of a window; one set above that is an error naming its key."""
+
+    @staticmethod
+    def filter_args(root, out, *extra):
+        return [
+            "filter",
+            "--frames",
+            str(root / "frames"),
+            "--detections",
+            str(root / "detections.txt"),
+            "--output",
+            str(out),
+            *extra,
+        ]
+
+    def test_filter_half_window_1_with_default_quorums(self, tmp_path):
+        n_frames = 30
+        root, sc = make_scenario_dir(
+            tmp_path, seed=4, n_frames=n_frames, fp_rate=0.3, dropout=0.1, scene_breaks=(13,)
+        )
+        out, want = tmp_path / "filtered.txt", tmp_path / "want.txt"
+        assert run_cli(self.filter_args(root, out, "--half-window", "1")) == 0
+        dets = parse_detections(root / "detections.txt", 160, 120, n_frames)
+        cfg = derive_sweep_config(IscuConfig(), 1)
+        naive = naive_filter_sequence(list(sc.frames), dets, cfg)
+        write_detections(want, naive, include_origin=True)
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("key", ["fc_quorum", "fill_quorum"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_set_quorum_above_window_exit_1(self, tmp_path, capsys, form, key):
+        root, _ = make_scenario_dir(tmp_path, n_frames=6)
+        out = tmp_path / "filtered.txt"
+        if form == "flag":
+            extra = ["--half-window", "1", "--" + key.replace("_", "-"), "3"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"half_window = 1\n{key} = 3\n")
+            extra = ["--config", str(config)]
+        assert run_cli(self.filter_args(root, out, *extra)) == 1
+        assert f"{key} must be in [1, 2], got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_half_window_1(self, capsys):
+        args = ["bench", "--synthetic-frames", "5", "--frame-size", "160x120"]
+        assert run_cli(args + ["--half-window", "1"]) == 0
+
+    @pytest.mark.parametrize("half_window", [1, 2])
+    def test_sweep_ignores_config_half_window(self, tmp_path, half_window):
+        # quorums of 2 and 3 give other rows at every swept half window here
+        root, _ = make_scenario_dir(
+            tmp_path, seed=5, n_frames=30, fp_rate=0.3, dropout=0.3, scene_breaks=(13,)
+        )
+        plain, configured = tmp_path / "plain.json", tmp_path / "configured.json"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"half_window = {half_window}\n")
+        assert run_cli(TestSweepCommand.sweep_args(root, "1,2,3,4", plain)) == 0
+        args = TestSweepCommand.sweep_args(root, "1,2,3,4", configured)
+        assert run_cli(args + ["--config", str(config)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+    def test_sweep_checks_set_quorum_at_widest_half_window(self, tmp_path, capsys):
+        root, _ = make_scenario_dir(tmp_path, n_frames=10)
+        out = tmp_path / "sweep.json"
+        args = TestSweepCommand.sweep_args(root, "1,2", out) + ["--fc-quorum", "5"]
+        assert run_cli(args) == 1
+        assert "fc_quorum must be in [1, 4], got 5" in capsys.readouterr().err
+        # 7 fits half window 4 and is lowered to 2 at half window 1
+        args = TestSweepCommand.sweep_args(root, "1,4", out) + ["--fc-quorum", "7"]
+        assert run_cli(args) == 0
 
 
 class TestSynthCommand:

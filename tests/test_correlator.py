@@ -114,6 +114,30 @@ class TestIouMatrix:
         assert matrix == [[iou(x, y) for y in b] for x in a]
 
 
+class TestLinks:
+    def test_hand_built_window_links_equal_stream_links(self):
+        # a window built by hand derives its facts with the stream's own
+        # _link, so they are the stream's restricted to the window's frames
+        h = 2
+        sc = tiny_scenario(8, n_frames=20)
+        c = StreamCorrelator(small_cfg(half_window=h))
+        gated, facts = [], []
+        for frame, d in zip(sc.frames, sc.raw_detections):
+            c.push_frame(frame, d)
+            gated.append(c._buffer[-1][0])
+            facts.append(c._buffer[-1][2])
+        assert any(links for f in facts for links in f.links)
+        for lo in range(len(gated) - 2 * h):
+            frames = gated[lo : lo + 2 * h + 1]
+            window = CorrelationWindow(tuple(frames), h, (1.0,) * len(frames))
+            ids = {f.meta.frame_index for f in frames}
+            for derived, streamed in zip(window.overlaps, facts[lo : lo + 2 * h + 1]):
+                assert derived.thresholds == streamed.thresholds
+                assert derived.links == [
+                    [link for link in links if link[0] in ids] for links in streamed.links
+                ]
+
+
 class TestWindowType:
     def test_monotone_indices_required(self):
         d0, d1 = dets(0), dets(0)
@@ -518,8 +542,10 @@ class TestStreamBatchOracle:
         assert process_sequence(frames, det_list, cfg) == naive_filter_sequence(
             frames, det_list, cfg
         )
-        # every half window cut out of one pass at the widest
+        # every half window cut out of one pass at the widest, and a fill
+        # IoU of its own read off the same links
         cfgs = [derive_sweep_config(IscuConfig(), n) for n in (1, 2, 3, 4)]
+        cfgs.append(derive_sweep_config(IscuConfig(fill_iou=0.2), 2))
         assert sweep_sequence(frames, det_list, cfgs) == [
             naive_filter_sequence(frames, det_list, c) for c in cfgs
         ]
@@ -540,12 +566,23 @@ class TestSweepSequence:
         with pytest.raises(ValueError):
             sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other])
 
-    @pytest.mark.parametrize("field", ["confidence_gate", "fill_iou"])
-    def test_configs_must_share_gate_and_fill_iou(self, field):
+    def test_configs_must_share_confidence_gate(self):
         # the gated boxes and their overlap facts are scored once for all
-        other = small_cfg(**{field: 0.4})
-        with pytest.raises(ValueError, match=field):
+        other = small_cfg(confidence_gate=0.4)
+        with pytest.raises(ValueError, match="confidence_gate"):
             sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other])
+
+    def test_fill_iou_may_differ(self):
+        # links carry no threshold, so each config applies its own fill IoU
+        sc = tiny_scenario(6, n_frames=30)
+        frames, det_list = list(sc.frames), list(sc.raw_detections)
+        cfgs = [
+            derive_sweep_config(small_cfg(fill_iou=fill_iou), n)
+            for n, fill_iou in ((3, 0.5), (2, 0.1), (4, 0.8), (1, 0.0), (3, 0.3))
+        ]
+        assert sweep_sequence(frames, det_list, cfgs) == [
+            process_sequence(frames, det_list, cfg) for cfg in cfgs
+        ] == [naive_filter_sequence(frames, det_list, cfg) for cfg in cfgs]
 
 
 class TestMemory:
@@ -567,9 +604,8 @@ class TestMemory:
         assert peak < 2_000_000, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_overlap_facts_bounded_by_window(self):
-        # 8 slowly drifting tracks, so every box gathers support and fill
-        # partners; the facts still alive afterwards cover only the frames
-        # a window can reach
+        # 8 slowly drifting tracks, so every box gathers links; the facts
+        # still alive afterwards cover only the frames a window can reach
         h, n = 3, 2000
         c = StreamCorrelator(small_cfg(half_window=h))
         frame = flat_frame()
@@ -581,8 +617,7 @@ class TestMemory:
         assert 0 < len(held) <= 2 * h + 1
         referenced = {o.index for o in held}
         for o in held:
-            referenced.update(*o.support)
-            referenced.update(f for partners in o.partners for f, _, _ in partners)
+            referenced.update(f for links in o.links for f, _, _ in links)
         assert min(referenced) >= n - 1 - 4 * h
 
 

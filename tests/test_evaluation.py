@@ -10,7 +10,6 @@ from polypstream.evaluation import (
     evaluate_sequences,
     match_boxes,
     match_frame,
-    mpt,
     pdr,
 )
 from polypstream.geometry import (
@@ -258,22 +257,6 @@ class TestPdr:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             pdr({})
-
-
-class TestMpt:
-    def test_mean(self):
-        assert mpt([2.0, 2.0, 2.0]) == 2.0
-
-    def test_thousand_frames_in_37s(self):
-        durations = [37.0] * 1000  # ms each, 37 s total
-        assert mpt(durations) == pytest.approx(37.0)
-
-    def test_single_frame(self):
-        assert mpt([5.0]) == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            mpt([])
 
 
 class TestEvaluateSequences:
