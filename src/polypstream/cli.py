@@ -56,7 +56,8 @@ def _add_config_flags(p: argparse.ArgumentParser, exclude: tuple[str, ...] = ())
 
 
 def _run_config(args: argparse.Namespace, *fixed):
-    """The config file, then the flags, then ``fixed`` sources, later wins."""
+    """The run's ``IscuConfig`` from the config file, then the flags, then
+    ``fixed`` sources, later wins."""
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     return build_run_config(file_values, overrides, *fixed)
@@ -97,13 +98,11 @@ def _load_with_context(path: str, loader, *load_args, **load_kwargs):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_sequence(frames_dir: str, det_path: str | None):
-    """A directory's frames, still to be decoded (``read_frames``), and,
-    when ``det_path`` is given, its detection records parsed at the first
-    frame's size and checked against the frame count (else ``None``)."""
+def _load_sequence(frames_dir: str, det_path: str):
+    """A directory's frames, still to be decoded (``read_frames``), and its
+    detection records parsed at the first frame's size and checked against
+    the frame count."""
     frames = read_frames(frames_dir)
-    if det_path is None:
-        return frames, None
     return frames, _load_with_context(
         det_path, parse_detections, frames.width, frames.height, len(frames)
     )
@@ -147,16 +146,13 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
-    frames_dir = args.frames or rc.frames_dir
-    det_path = args.detections or rc.detections
-    out_path = args.output or rc.output
-    if not frames_dir or not det_path or not out_path:
+    cfg = _run_config(args)
+    if not args.frames or not args.detections or not args.output:
         raise InputError("filter needs --frames, --detections and --output")
-    _check_writable(out_path)
-    frames, dets = _load_sequence(frames_dir, det_path)
-    results = process_sequence(frames, dets, rc.iscu)
-    write_detections(out_path, results, include_origin=True)
+    _check_writable(args.output)
+    frames, dets = _load_sequence(args.frames, args.detections)
+    results = process_sequence(frames, dets, cfg)
+    write_detections(args.output, results, include_origin=True)
     kept = sum(len(r.kept) for r in results)
     added = sum(len(r.added) for r in results)
     removed = sum(r.removed_count for r in results)
@@ -164,7 +160,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     print(f"kept = {kept}")
     print(f"added = {added}")
     print(f"removed = {removed}")
-    print(f"output = {out_path}")
+    print(f"output = {args.output}")
     return 0
 
 
@@ -197,13 +193,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ssim(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
-    a = read_image(args.images[0])
-    b = read_image(args.images[1])
-    p = rc.iscu.ssim_params
-    a = prepare_luma(a, p)
-    b = prepare_luma(b, p)
-    value = ssim(a, b, p)
+    p = _run_config(args).ssim_params
+    a = prepare_luma(read_image(args.images[0]), p)
+    b = prepare_luma(read_image(args.images[1]), p)
+    value = ssim(a, b)
     print(f"ssim = {value:.6f}")
     return 0
 
@@ -253,22 +246,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    cfg = _run_config(args)
     _check_writable(args.json)
-    if args.frames:
-        frames, dets = _load_sequence(args.frames, args.detections)
-        pool = list(frames)  # the timed loop indexes the pool; its decode is not timed
-        w, h = frames.width, frames.height
-        if dets is None:
-            dets = make_bench_detections(w, h, len(pool))
-    else:
-        if args.synthetic_frames < 1:
-            raise InputError(f"--synthetic-frames must be >= 1, got {args.synthetic_frames}")
-        w, h = _parse_size(args.frame_size)
-        pool = make_bench_frames(w, h, seed=args.seed)
-        dets = make_bench_detections(w, h, args.synthetic_frames)
+    if args.synthetic_frames < 1:
+        raise InputError(f"--synthetic-frames must be >= 1, got {args.synthetic_frames}")
+    w, h = _parse_size(args.frame_size)
+    pool = make_bench_frames(w, h, seed=args.seed)
+    dets = make_bench_detections(w, h, args.synthetic_frames)
 
-    result = bench_correlator(pool, dets, rc.iscu)
+    result = bench_correlator(pool, dets, cfg)
     print(f"n_frames = {result.n_frames}")
     print(f"mpt_ms = {result.mpt_ms:.4f}")
     print(f"max_ms = {result.max_ms:.4f}")
@@ -287,13 +273,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise InputError(f"half window must be >= 1, got {n}")
     # the base stands at the widest swept window, whatever half_window a
     # config file gives: a quorum set above it fits no swept window
-    rc = _run_config(args, {"half_window": max(half_windows)})
+    base = _run_config(args, {"half_window": max(half_windows)})
     _check_writable(args.json)
 
     frames, dets = _load_sequence(args.frames, args.detections)
     gts = _load_with_context(args.ground_truth, parse_groundtruth, len(frames))
 
-    cfgs = [derive_sweep_config(rc.iscu, n) for n in half_windows]
+    cfgs = [derive_sweep_config(base, n) for n in half_windows]
     payload = []
     for n, results in zip(half_windows, sweep_sequence(frames, dets, cfgs)):
         report = evaluate_sequences([(results, gts)], iou_cut=args.iou_cut)
@@ -347,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("bench", help="per-frame timing of the correlation unit")
-    p.add_argument("--frames", help="directory of frames (else synthetic)")
-    p.add_argument("--detections")
     p.add_argument("--synthetic-frames", type=int, default=1000)
     p.add_argument("--frame-size", default="1280x1080")
     p.add_argument("--seed", type=int, default=0)

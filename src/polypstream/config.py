@@ -1,12 +1,10 @@
 """Flat key/value run configuration with CLI overrides.
 
-A config file holds ``key = value`` lines (``#`` comments allowed). The
-tunable keys are the fields of :class:`IscuConfig` (except ``ssim_params``)
-and of :class:`SsimParams`; a SsimParams field takes the ``ssim_`` prefix
-(``ssim_k1``, ``ssim_k2``) except ``downsample_w``/``downsample_h``.
-Each key has the type of its field's default, and an absent key keeps that
-default. The path keys ``frames_dir``, ``detections`` and ``output`` name the
-inputs and output of ``filter``. Unknown keys are rejected.
+A config file holds ``key = value`` lines (``#`` comments allowed). Its
+keys are the field names of :class:`IscuConfig` (except ``ssim_params``)
+and of :class:`SsimParams` (``downsample_w``, ``downsample_h``). Each key
+has the type of its field's default, and an absent key keeps that default.
+Unknown keys are rejected.
 
 A window has ``2*half_window`` neighbours, so a quorum above that can never
 be met. A quorum that no source sets is lowered to it; one that a source
@@ -16,7 +14,7 @@ half window it runs (``derive_sweep_config``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -27,25 +25,10 @@ from .similarity import SsimParams
 _ISCU_FIELDS = {f.name: f for f in fields(IscuConfig) if f.name != "ssim_params"}
 ISCU_KEYS = tuple(_ISCU_FIELDS)
 _QUORUM_KEYS = ("fc_quorum", "fill_quorum")
-_SSIM_FIELDS = {
-    f.name if f.name.startswith("downsample_") else f"ssim_{f.name}": f
-    for f in fields(SsimParams)
-}
+_SSIM_FIELDS = {f.name: f for f in fields(SsimParams)}
 CONFIG_KEYS: dict[str, type] = {
     key: type(f.default) for key, f in {**_ISCU_FIELDS, **_SSIM_FIELDS}.items()
 }
-_PATH_KEYS = ("frames_dir", "detections", "output")
-_KEY_TYPES = {**CONFIG_KEYS, **dict.fromkeys(_PATH_KEYS, str)}
-
-
-@dataclass
-class RunConfig:
-    """Everything a CLI run needs: the correlator config plus I/O paths."""
-
-    iscu: IscuConfig
-    frames_dir: str | None = None
-    detections: str | None = None
-    output: str | None = None
 
 
 def parse_config_file(path: str | Path) -> dict[str, Any]:
@@ -63,14 +46,14 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
             raise InputError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEY_TYPES:
+        if key not in CONFIG_KEYS:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = _coerce(key, value.strip(), f"{path}:{line_no}")
     return values
 
 
 def _coerce(key: str, value: Any, where: str) -> Any:
-    typ = _KEY_TYPES[key]
+    typ = CONFIG_KEYS[key]
     try:
         return typ(value)
     except (TypeError, ValueError):
@@ -78,8 +61,8 @@ def _coerce(key: str, value: Any, where: str) -> Any:
         raise InputError(f"{where}: {key} must be {kind}, got {value!r}") from None
 
 
-def build_run_config(*sources: Mapping[str, Any]) -> RunConfig:
-    """Merge value sources (later wins) and construct a validated RunConfig.
+def build_run_config(*sources: Mapping[str, Any]) -> IscuConfig:
+    """Merge value sources (later wins) and construct a validated IscuConfig.
 
     ``None`` values are treated as absent so optional CLI flags merge
     cleanly over file-provided values.
@@ -89,12 +72,12 @@ def build_run_config(*sources: Mapping[str, Any]) -> RunConfig:
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _KEY_TYPES:
+            if key not in CONFIG_KEYS:
                 raise InputError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value, "config")
 
     def present(keyed_fields):
-        return {f.name: merged[key] for key, f in keyed_fields.items() if key in merged}
+        return {key: merged[key] for key in keyed_fields if key in merged}
 
     iscu_values = present(_ISCU_FIELDS)
     half_window = iscu_values.get("half_window", _ISCU_FIELDS["half_window"].default)
@@ -103,10 +86,9 @@ def build_run_config(*sources: Mapping[str, Any]) -> RunConfig:
     )
     try:
         ssim_params = SsimParams(**present(_SSIM_FIELDS))
-        iscu = IscuConfig(ssim_params=ssim_params, **{**quorums, **iscu_values})
+        return IscuConfig(ssim_params=ssim_params, **{**quorums, **iscu_values})
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return RunConfig(iscu, **{key: merged.get(key) for key in _PATH_KEYS})
 
 
 def _fit_quorums(quorums: Mapping[str, int], half_window: int) -> dict[str, int]:

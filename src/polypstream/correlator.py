@@ -356,9 +356,8 @@ class StreamCorrelator:
                 f"frame dimensions changed mid-stream: {self._dims} -> "
                 f"{(frame.width, frame.height)}"
             )
-        p = self.cfg.ssim_params
-        luma = prepare_luma(frame, p)
-        back = tuple(ssim(earlier, luma, p) for earlier in self._lumas)
+        luma = prepare_luma(frame, self.cfg.ssim_params)
+        back = tuple(ssim(earlier, luma) for earlier in self._lumas)
         self._lumas.append(luma)
         self._last_index = meta.frame_index
 

@@ -53,7 +53,6 @@ class EvalReport:
     mnfp: float
     pdr: float | None = None
     map: float | None = None
-    mpt_ms: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -71,7 +70,6 @@ class EvalReport:
             "mnfp": self.mnfp,
             "pdr_pct": self.pdr,
             "map": self.map,
-            "mpt_ms": self.mpt_ms,
         }
 
 

@@ -58,43 +58,22 @@ class GrayFrame:
         return kernels.moments(self.samples)
 
 
-# The range of the uint8 samples; a float, so (k * range) ** 2 is a float.
-_DYNAMIC_RANGE = 255.0
+# SSIM's stabilising constants: K1 = 0.01 and K2 = 0.03 at the uint8 range.
+_B1 = (0.01 * 255.0) ** 2
+_B2 = (0.03 * 255.0) ** 2
+_B3 = _B2 / 2.0
 
 
 @dataclass(frozen=True)
 class SsimParams:
-    """Constants and comparison size for the similarity computation."""
+    """The size both frames are downsampled to before they are compared."""
 
-    k1: float = 0.01
-    k2: float = 0.03
     downsample_w: int = 160
     downsample_h: int = 120
 
     def __post_init__(self) -> None:
-        for name in ("k1", "k2"):
-            value = getattr(self, name)
-            scaled = value * _DYNAMIC_RANGE
-            # false for NaN and inf, and for a value whose constant overflows
-            if not (value > 0 and math.isfinite(scaled * scaled)):
-                raise ValueError(
-                    f"{name} (ssim_{name}) must be positive and finite, with a "
-                    f"finite ({name} * 255) ** 2, got {value}"
-                )
         if self.downsample_w <= 0 or self.downsample_h <= 0:
             raise ValueError("downsample dimensions must be positive")
-
-    @property
-    def b1(self) -> float:
-        return (self.k1 * _DYNAMIC_RANGE) ** 2
-
-    @property
-    def b2(self) -> float:
-        return (self.k2 * _DYNAMIC_RANGE) ** 2
-
-    @property
-    def b3(self) -> float:
-        return self.b2 / 2.0
 
 
 def to_luma(rgb_frame: np.ndarray) -> GrayFrame:
@@ -120,9 +99,7 @@ def downsample(g: GrayFrame, target_w: int, target_h: int) -> GrayFrame:
     return GrayFrame.from_array(kernels.box_downsample(g.samples, target_w, target_h))
 
 
-def _ssim_from_stats(
-    sx: int, sy: int, sxx: int, syy: int, sxy: int, n: int, b1: float, b2: float, b3: float
-) -> float:
+def _ssim_from_stats(sx: int, sy: int, sxx: int, syy: int, sxy: int, n: int) -> float:
     mx = sx / n
     my = sy / n
     vx = max(sxx / n - mx * mx, 0.0)
@@ -130,21 +107,20 @@ def _ssim_from_stats(
     cxy = sxy / n - mx * my
     sdx = math.sqrt(vx)
     sdy = math.sqrt(vy)
-    lum = (2.0 * mx * my + b1) / (mx * mx + my * my + b1)
-    con = (2.0 * sdx * sdy + b2) / (vx + vy + b2)
-    stru = (cxy + b3) / (sdx * sdy + b3)
+    lum = (2.0 * mx * my + _B1) / (mx * mx + my * my + _B1)
+    con = (2.0 * sdx * sdy + _B2) / (vx + vy + _B2)
+    stru = (cxy + _B3) / (sdx * sdy + _B3)
     return lum * con * stru
 
 
-def ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
+def ssim(x: GrayFrame, y: GrayFrame) -> float:
     """Structural similarity of two equally sized luma frames, in (-1, 1]."""
-    p = p or SsimParams()
     if not x.same_size(y):
         raise InputError(
             f"frame dimensions differ: {x.width}x{x.height} vs {y.width}x{y.height}"
         )
     sx, sy, sxx, syy, sxy = kernels.ssim_stats(x.moments, y.moments)
-    return _ssim_from_stats(sx, sy, sxx, syy, sxy, x.width * x.height, p.b1, p.b2, p.b3)
+    return _ssim_from_stats(sx, sy, sxx, syy, sxy, x.width * x.height)
 
 
 def prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:

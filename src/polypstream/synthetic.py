@@ -140,9 +140,10 @@ def _bilinear_upsample(grid: np.ndarray, w: int, h: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, gh - 1)
     fx = np.clip(gx - x0, 0.0, 1.0)
     fy = np.clip(gy - y0, 0.0, 1.0)
-    top = grid[np.ix_(y0, x0)] * (1 - fx) + grid[np.ix_(y0, x1)] * fx
-    bot = grid[np.ix_(y1, x0)] * (1 - fx) + grid[np.ix_(y1, x1)] * fx
-    return top * (1 - fy)[:, None] + bot * fy[:, None]
+    # each grid row is interpolated along x once; every pixel still sees the
+    # same operations in the same order as a per-pixel two-step lerp
+    rows = grid[:, x0] * (1 - fx) + grid[:, x1] * fx
+    return rows[y0] * (1 - fy)[:, None] + rows[y1] * fy[:, None]
 
 
 def _render_disc(img: np.ndarray, box: BoundingBox) -> None:

@@ -59,6 +59,24 @@ def naive_box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
     return ((2 * sums + area) // (2 * area)).astype(np.uint8)
 
 
+def naive_bilinear_upsample(grid: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Bilinear upsampling of a float grid to (h, w), pixel centers aligned,
+    edges clamped: each output pixel lerps its two source rows' values at
+    its x, then lerps those along y (four gathers per pixel)."""
+    gh, gw = grid.shape
+    gx = (np.arange(w) + 0.5) * gw / w - 0.5
+    gy = (np.arange(h) + 0.5) * gh / h - 0.5
+    x0 = np.clip(np.floor(gx).astype(np.int64), 0, gw - 1)
+    y0 = np.clip(np.floor(gy).astype(np.int64), 0, gh - 1)
+    x1 = np.minimum(x0 + 1, gw - 1)
+    y1 = np.minimum(y0 + 1, gh - 1)
+    fx = np.clip(gx - x0, 0.0, 1.0)
+    fy = np.clip(gy - y0, 0.0, 1.0)
+    top = grid[np.ix_(y0, x0)] * (1 - fx) + grid[np.ix_(y0, x1)] * fx
+    bot = grid[np.ix_(y1, x0)] * (1 - fx) + grid[np.ix_(y1, x1)] * fx
+    return top * (1 - fy)[:, None] + bot * fy[:, None]
+
+
 def _naive_prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:
     """The frame at the comparison size; frames already at or below it on
     an axis keep that axis, and a frame at or below it on both passes
@@ -69,9 +87,15 @@ def _naive_prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:
     return GrayFrame.from_array(naive_box_downsample(g.samples, tw, th))
 
 
-def naive_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float:
+# SSIM's stabilising constants for 8-bit samples: (K1 * L) ** 2 and
+# (K2 * L) ** 2 with K1 = 0.01, K2 = 0.03 and L = 255, and half the second.
+_C1 = (0.01 * 255.0) ** 2
+_C2 = (0.03 * 255.0) ** 2
+_C3 = _C2 / 2.0
+
+
+def naive_ssim(x: GrayFrame, y: GrayFrame) -> float:
     """Literal two-pass evaluation of the luminance/contrast/structure product."""
-    p = p or SsimParams()
     a = x.samples.astype(np.float64).ravel()
     b = y.samples.astype(np.float64).ravel()
     mu_x = a.mean()
@@ -81,13 +105,13 @@ def naive_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams | None = None) -> float
     cov = ((a - mu_x) * (b - mu_y)).mean()
     sd_x = math.sqrt(var_x)
     sd_y = math.sqrt(var_y)
-    lum = (2 * mu_x * mu_y + p.b1) / (mu_x**2 + mu_y**2 + p.b1)
-    con = (2 * sd_x * sd_y + p.b2) / (var_x + var_y + p.b2)
-    stru = (cov + p.b3) / (sd_x * sd_y + p.b3)
+    lum = (2 * mu_x * mu_y + _C1) / (mu_x**2 + mu_y**2 + _C1)
+    con = (2 * sd_x * sd_y + _C2) / (var_x + var_y + _C2)
+    stru = (cov + _C3) / (sd_x * sd_y + _C3)
     return lum * con * stru
 
 
-def naive_pair_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams) -> float:
+def naive_pair_ssim(x: GrayFrame, y: GrayFrame) -> float:
     """Global similarity of one pair: five int64 moment sums, then the
     library's formula written out in its operation order (so the value is
     bit-identical), sharing no kernel with the code it checks."""
@@ -103,9 +127,9 @@ def naive_pair_ssim(x: GrayFrame, y: GrayFrame, p: SsimParams) -> float:
     cxy = sxy / n - mx * my
     sdx = math.sqrt(vx)
     sdy = math.sqrt(vy)
-    lum = (2.0 * mx * my + p.b1) / (mx * mx + my * my + p.b1)
-    con = (2.0 * sdx * sdy + p.b2) / (vx + vy + p.b2)
-    stru = (cxy + p.b3) / (sdx * sdy + p.b3)
+    lum = (2.0 * mx * my + _C1) / (mx * mx + my * my + _C1)
+    con = (2.0 * sdx * sdy + _C2) / (vx + vy + _C2)
+    stru = (cxy + _C3) / (sdx * sdy + _C3)
     return lum * con * stru
 
 
@@ -172,7 +196,7 @@ def _naive_eliminate(t, neighbor_ids, lumas, gated, cfg):
     similar = [
         k
         for k in neighbor_ids
-        if naive_pair_ssim(lumas[t], lumas[k], cfg.ssim_params) > cfg.similarity_threshold
+        if naive_pair_ssim(lumas[t], lumas[k]) > cfg.similarity_threshold
     ]
     kept = []
     for sb in center.boxes:

@@ -26,7 +26,7 @@ from polypstream.geometry import (
     centroid_to_corners,
     iou,
 )
-from polypstream.similarity import GrayFrame, SsimParams, prepare_luma, ssim
+from polypstream.similarity import GrayFrame, prepare_luma, ssim
 from polypstream.synthetic import (
     ConfidenceModel,
     ScenarioConfig,
@@ -99,7 +99,7 @@ def test_criterion_1_metric_fixtures():
 def test_criterion_2_ssim_correctness():
     t0 = time.perf_counter()
     r = np.random.default_rng(2024)
-    p = SsimParams()
+    b1 = (0.01 * 255.0) ** 2  # SSIM's luminance constant, K1 = 0.01 at range 255
 
     self_err = 0.0
     sym_err = 0.0
@@ -108,20 +108,20 @@ def test_criterion_2_ssim_correctness():
         for _ in range(100)
     ]
     for i, f in enumerate(frames):
-        self_err = max(self_err, abs(ssim(f, f, p) - 1.0))
+        self_err = max(self_err, abs(ssim(f, f) - 1.0))
         g = frames[(i + 1) % len(frames)]
-        sym_err = max(sym_err, abs(ssim(f, g, p) - ssim(g, f, p)))
+        sym_err = max(sym_err, abs(ssim(f, g) - ssim(g, f)))
 
     black = GrayFrame.from_array(np.zeros((32, 32), dtype=np.uint8))
     white = GrayFrame.from_array(np.full((32, 32), 255, dtype=np.uint8))
-    closed_form = p.b1 / (255.0**2 + p.b1)
-    const_err = abs(ssim(black, white, p) - closed_form)
+    closed_form = b1 / (255.0**2 + b1)
+    const_err = abs(ssim(black, white) - closed_form)
 
     oracle_err = 0.0
     for _ in range(1000):
         x = GrayFrame.from_array(r.integers(0, 256, size=(16, 16), dtype=np.uint8))
         y = GrayFrame.from_array(r.integers(0, 256, size=(16, 16), dtype=np.uint8))
-        oracle_err = max(oracle_err, abs(ssim(x, y, p) - naive_ssim(x, y, p)))
+        oracle_err = max(oracle_err, abs(ssim(x, y) - naive_ssim(x, y)))
 
     elapsed = time.perf_counter() - t0
     ok = (
@@ -242,7 +242,7 @@ def test_criterion_4_transience_elimination():
         lumas = [prepare_luma(f, p) for f in frames[:20]]
         for i in range(len(lumas)):
             for j in range(i + 1, min(i + 4, len(lumas))):
-                assert ssim(lumas[i], lumas[j], p) > cfg.similarity_threshold
+                assert ssim(lumas[i], lumas[j]) > cfg.similarity_threshold
         meta = dets[0].meta
         for t in range(20):
             for dt in range(1, 4):

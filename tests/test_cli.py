@@ -285,6 +285,17 @@ class TestEvalCommand:
         assert data["sen_pct"] == 100.0
         assert data["pdr_pct"] == 100.0
 
+    def test_no_timing_field(self, tmp_path, capsys):
+        # record files carry no timing; mean processing time comes from bench
+        det, gt = self._write_pair(
+            tmp_path, ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"]
+        )
+        args = ["eval", "--detections", str(det), "--ground-truth", str(gt), "--json", "-"]
+        assert run_cli(args) == 0
+        text = capsys.readouterr().out
+        assert "mpt" not in text
+        assert "mpt_ms" not in json.loads(text[text.index("{"):])
+
     def test_unwritable_json_exit_1(self, tmp_path, capsys):
         det, gt = self._write_pair(
             tmp_path, ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"]
@@ -428,7 +439,7 @@ class TestSsimCommand:
     def test_help_lists_only_similarity_flags(self, capsys):
         assert run_cli(["ssim", "--help"]) == 0
         flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
-        similarity = {"--ssim-k1", "--ssim-k2", "--downsample-w", "--downsample-h"}
+        similarity = {"--downsample-w", "--downsample-h"}
         assert flags == {"--help", "--config", *similarity}
 
     @pytest.mark.parametrize("key", ISCU_KEYS)
@@ -454,9 +465,10 @@ class TestSsimCommand:
 
 
 class TestNonFiniteSsimConstants:
-    """k1 and k2 must be finite and positive, with a finite stabilising
-    constant; a NaN would make every similarity NaN and silently send every
-    center to the fixed-quorum fallback."""
+    """SSIM's K1 and K2 are fixed, so no value of theirs is accepted: not a
+    non-finite one, which would make every similarity NaN and silently send
+    every center to the fixed-quorum fallback, nor their own defaults. The
+    flag or key is named, and nothing is written."""
 
     @pytest.mark.parametrize(
         "key, value",
@@ -466,6 +478,8 @@ class TestNonFiniteSsimConstants:
             ("ssim_k1", "1e400"),  # parses as inf
             ("ssim_k2", "nan"),
             ("ssim_k2", "1e200"),  # (k2 * 255) ** 2 overflows
+            ("ssim_k1", "0.01"),
+            ("ssim_k2", "0.03"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -487,14 +501,16 @@ class TestNonFiniteSsimConstants:
                 str(out),
             ]
         if form == "flag":
-            args += [f"--{key.replace('_', '-')}", value]
+            named = f"--{key.replace('_', '-')}"
+            args += [named, value]
         else:
+            named = key
             config = tmp_path / "run.cfg"
             config.write_text(f"{key} = {value}\n")
             args += ["--config", str(config)]
         assert run_cli(args) == 1
         captured = capsys.readouterr()
-        assert key in captured.err
+        assert named in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -685,6 +701,19 @@ class TestSweepCommand:
         assert [row["half_window"] for row in data["sweep"]] == [1, 2, 3]
         text = capsys.readouterr().out
         assert "[half_window = 1]" in text
+
+    def test_no_timing_field(self, tmp_path, capsys):
+        # the report scores records; mean processing time comes from bench
+        root, _ = make_scenario_dir(tmp_path, n_frames=8)
+        args = ["sweep", "--half-window", "1,2", "--frames", str(root / "frames")]
+        args += ["--detections", str(root / "detections.txt")]
+        args += ["--ground-truth", str(root / "groundtruth.txt"), "--json", "-"]
+        assert run_cli(args) == 0
+        text = capsys.readouterr().out
+        assert "mpt" not in text
+        rows = json.loads(text[text.index("{"):])["sweep"]
+        assert [row["half_window"] for row in rows] == [1, 2]
+        assert all("mpt_ms" not in row for row in rows)
 
     def test_standard_scenario_precision_trend(self, tmp_path):
         scen = tmp_path / "standard"

@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +19,7 @@ from polypstream.similarity import SsimParams
 def _tunable_fields():
     """(config key, owning dataclass, field) for every tunable parameter."""
     cases = [(f.name, IscuConfig, f) for f in fields(IscuConfig) if f.name != "ssim_params"]
-    for f in fields(SsimParams):
-        key = f.name if f.name.startswith("downsample_") else f"ssim_{f.name}"
-        cases.append((key, SsimParams, f))
+    cases += [(f.name, SsimParams, f) for f in fields(SsimParams)]
     return cases
 
 
@@ -46,13 +46,11 @@ class TestConfigFile:
             "# operating point\n"
             "half_window = 2\n"
             "similarity_threshold = 0.9\n"
-            "frames_dir = frames\n"
         )
-        rc = build_run_config(parse_config_file(path))
-        assert rc.iscu.half_window == 2
-        assert rc.iscu.similarity_threshold == 0.9
-        assert rc.iscu.confidence_gate == 0.3  # default retained
-        assert rc.frames_dir == "frames"
+        cfg = build_run_config(parse_config_file(path))
+        assert cfg.half_window == 2
+        assert cfg.similarity_threshold == 0.9
+        assert cfg.confidence_gate == 0.3  # default retained
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -85,6 +83,21 @@ class TestConfigFile:
         with pytest.raises(InputError, match="unknown config key"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("key", ["frames_dir", "detections", "output"])
+    def test_path_keys_rejected(self, tmp_path, capsys, key):
+        # file paths are filter's flags only; the key is refused before
+        # any input is opened
+        out = tmp_path / "filtered.txt"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {tmp_path / 'x'}\n")
+        args = ["filter", "--config", str(path), "--frames", str(tmp_path / "frames")]
+        args += ["--detections", str(tmp_path / "dets.txt"), "--output", str(out)]
+        assert cli.run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert f"unknown config key {key!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSchema:
     """Every dataclass field is reachable, by its key and by its flag."""
@@ -98,11 +111,18 @@ class TestSchema:
             "fc_quorum",
             "fill_quorum",
             "fill_iou",
-            "ssim_k1",
-            "ssim_k2",
             "downsample_w",
             "downsample_h",
         }
+
+    def test_readme_lists_keys_with_defaults(self):
+        # README's Configuration section names each key once as `key default`
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Configuration", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"`([a-z_]+) ([0-9.]+)`", section)
+        assert sorted(key for key, _ in listed) == sorted(CONFIG_KEYS)
+        defaults = {key: f.default for key, _, f in _TUNABLE_FIELDS}
+        assert {key: CONFIG_KEYS[key](value) for key, value in listed} == defaults
 
     @pytest.mark.parametrize(
         "key", ["ssim_mode", "ssim_window_size", "ssim_stride", "ssim_dynamic_range"]
@@ -121,41 +141,41 @@ class TestSchema:
         value = _non_default(f)
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {value}\n")
-        assert build_run_config(parse_config_file(path)).iscu == _expected(owner, f, value)
+        assert build_run_config(parse_config_file(path)) == _expected(owner, f, value)
 
     @_TUNABLES
     def test_filter_flag_sets_field(self, key, owner, f):
         value = _non_default(f)
         flag = "--" + key.replace("_", "-")
         args = cli.build_parser().parse_args(["filter", flag, str(value)])
-        assert cli._run_config(args).iscu == _expected(owner, f, value)
+        assert cli._run_config(args) == _expected(owner, f, value)
 
 
 class TestMerge:
     def test_defaults_match_reference_operating_point(self):
-        rc = build_run_config()
-        assert rc.iscu.half_window == 3
-        assert rc.iscu.similarity_threshold == 0.85
-        assert rc.iscu.confidence_gate == 0.3
-        assert rc.iscu.fc_quorum == 3
-        assert rc.iscu.fill_iou == 0.5
-        assert rc.iscu.ssim_params.downsample_w == 160
-        assert rc.iscu.ssim_params.downsample_h == 120
+        cfg = build_run_config()
+        assert cfg.half_window == 3
+        assert cfg.similarity_threshold == 0.85
+        assert cfg.confidence_gate == 0.3
+        assert cfg.fc_quorum == 3
+        assert cfg.fill_iou == 0.5
+        assert cfg.ssim_params.downsample_w == 160
+        assert cfg.ssim_params.downsample_h == 120
 
     def test_later_source_wins_none_ignored(self):
-        rc = build_run_config(
+        cfg = build_run_config(
             {"half_window": 2}, {"half_window": 4, "fill_iou": None}
         )
-        assert rc.iscu.half_window == 4
-        assert rc.iscu.fill_iou == 0.5
+        assert cfg.half_window == 4
+        assert cfg.fill_iou == 0.5
 
     def test_invalid_combination_is_input_error(self):
         with pytest.raises(InputError):
             build_run_config({"half_window": 1, "fc_quorum": 5})
 
     def test_threshold_sets_iscu_config(self):
-        rc = build_run_config({"similarity_threshold": 0.7})
-        assert rc.iscu.similarity_threshold == 0.7
+        cfg = build_run_config({"similarity_threshold": 0.7})
+        assert cfg.similarity_threshold == 0.7
 
 
 class TestSweepDerivation:

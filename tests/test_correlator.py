@@ -64,8 +64,7 @@ def window_of(det_list, center, similarity=None):
 
 def noise_similarity(center, n=7):
     """Measured similarity of noise frames 0..n-1 to noise frame `center`."""
-    p = small_cfg().ssim_params
-    return [ssim(noise_frame(center), noise_frame(i), p) for i in range(n)]
+    return [ssim(noise_frame(center), noise_frame(i)) for i in range(n)]
 
 
 def small_cfg(**kw):
@@ -385,10 +384,10 @@ class TestStreaming:
             lumas.append(prepare(frame, p))
             return lumas[-1]
 
-        def counted_ssim(x, y, p):
+        def counted_ssim(x, y):
             ids = [id(luma) for luma in lumas]
             pairs.append((ids.index(id(x)), ids.index(id(y))))
-            return score(x, y, p)
+            return score(x, y)
 
         monkeypatch.setattr(correlator, "prepare_luma", counted_prepare)
         monkeypatch.setattr(correlator, "ssim", counted_ssim)

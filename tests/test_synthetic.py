@@ -8,10 +8,13 @@ from polypstream.synthetic import (
     ConfidenceModel,
     ScenarioConfig,
     TrackSpec,
+    _bilinear_upsample,
     generate_scenario,
     simulate_detector,
     standard_noise_config,
 )
+
+from oracles import naive_bilinear_upsample
 
 
 def slow_track(x0=40.0, y0=40.0, size=40.0):
@@ -162,13 +165,25 @@ class TestDetectorSimulation:
 
 
 class TestRendering:
+    @pytest.mark.parametrize(
+        "w, h", [(320, 240), (160, 120), (1280, 1080), (720, 576), (67, 53), (17, 16)]
+    )
+    def test_upsample_bit_identical_to_oracle(self, w, h):
+        r = np.random.default_rng([w, h])
+        for gh, gw in [(6, 8), (6, 8), (1, 1), (2, 3), (7, 5)] * 2:
+            grid = r.uniform(40.0, 215.0, size=(gh, gw))
+            got = _bilinear_upsample(grid, w, h)
+            want = naive_bilinear_upsample(grid, w, h)
+            assert got.shape == want.shape == (h, w)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_neighbor_similarity_and_breaks(self):
         cfg = base_config(n_frames=40, scene_break_frames=frozenset({20}))
         sc = generate_scenario(cfg)
         p = SsimParams()
         lumas = [prepare_luma(f, p) for f in sc.frames]
         for t in range(len(lumas) - 1):
-            value = ssim(lumas[t], lumas[t + 1], p)
+            value = ssim(lumas[t], lumas[t + 1])
             if t + 1 == 20:
                 assert value < 0.85, f"break at {t}->{t+1} still similar ({value:.3f})"
             else:
