@@ -22,7 +22,6 @@ from .evaluation import (
     aggregate,
     evaluate_sequences,
     match_boxes,
-    match_frame,
     pdr,
 )
 from .geometry import (
@@ -38,7 +37,7 @@ from .geometry import (
     corners_to_centroid,
     iou,
 )
-from .similarity import GrayFrame, SsimParams, downsample, prepare_luma, ssim, to_luma
+from .similarity import GrayFrame, SsimParams, prepare_luma, ssim, to_luma
 from .synthetic import (
     ConfidenceModel,
     Scenario,
@@ -78,13 +77,11 @@ __all__ = [
     "clip_box",
     "corners_to_centroid",
     "correct_missed",
-    "downsample",
     "eliminate_noise",
     "evaluate_sequences",
     "generate_scenario",
     "iou",
     "match_boxes",
-    "match_frame",
     "pdr",
     "prepare_luma",
     "process_sequence",

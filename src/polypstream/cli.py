@@ -81,16 +81,6 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _iou_cut(text: str) -> float:
-    """argparse type for --iou-cut: matching keeps pairs with IoU above the
-    cut, so a cut below 0 matches disjoint boxes and one of 1 or more never
-    matches."""
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
-    return value
-
-
 def _load_with_context(path: str, loader, *load_args, **load_kwargs):
     try:
         return loader(path, *load_args, **load_kwargs)
@@ -127,7 +117,8 @@ def _print_report(report: EvalReport, out=None) -> None:
 
 def _check_writable(path: str | None) -> None:
     """Fail before any work when `path` would be written into a directory
-    that does not exist ('-' is stdout)."""
+    that does not exist. '-' passes: ``--json -`` writes to stdout, and
+    ``filter`` rejects it for ``--output`` itself."""
     if path and path != "-" and not Path(path).parent.is_dir():
         raise InputError(f"cannot write {path}: directory {Path(path).parent} does not exist")
 
@@ -149,6 +140,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     if not args.frames or not args.detections or not args.output:
         raise InputError("filter needs --frames, --detections and --output")
+    if args.output == "-":
+        # the records would mix with the summary lines on stdout
+        raise InputError("filter --output must be a file, not '-' (stdout)")
     _check_writable(args.output)
     frames, dets = _load_sequence(args.frames, args.detections)
     results = process_sequence(frames, dets, cfg)
@@ -185,7 +179,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         gts += [[] for _ in range(len(gts), len(dets))]
         sequences.append((dets, gts))
 
-    report = evaluate_sequences(sequences, iou_cut=args.iou_cut)
+    report = evaluate_sequences(sequences)
     _print_report(report)
     if args.json:
         _write_json(args.json, report.to_dict())
@@ -214,25 +208,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         cfg = ScenarioConfig(
             n_frames=args.n_frames, rng_seed=args.seed, tracks=(track,)
         )
-    replacements = {}
     if args.frame_size:
         w, h = _parse_size(args.frame_size)
-        replacements["frame_w"] = w
-        replacements["frame_h"] = h
-    if args.fp_rate is not None:
-        replacements["transient_fp_rate"] = args.fp_rate
-    if args.fp_lifetime is not None:
-        replacements["fp_lifetime"] = args.fp_lifetime
-    if args.dropout_rate is not None:
-        replacements["tp_dropout_rate"] = args.dropout_rate
-    if args.scene_breaks is not None:
-        breaks = _int_list(args.scene_breaks, "--scene-breaks")
-        replacements["scene_break_frames"] = frozenset(breaks)
-    if replacements:
-        try:
-            cfg = dataclasses.replace(cfg, **replacements)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        cfg = dataclasses.replace(cfg, frame_w=w, frame_h=h)
 
     scenario = generate_scenario(cfg)
     out = Path(args.out)
@@ -282,7 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfgs = [derive_sweep_config(base, n) for n in half_windows]
     payload = []
     for n, results in zip(half_windows, sweep_sequence(frames, dets, cfgs)):
-        report = evaluate_sequences([(results, gts)], iou_cut=args.iou_cut)
+        report = evaluate_sequences([(results, gts)])
         print(f"[half_window = {n}]")
         _print_report(report)
         payload.append({"half_window": n, **report.to_dict()})
@@ -310,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", nargs="+", required=True)
     p.add_argument("--num-frames", nargs="+", type=int, default=None)
     p.add_argument("--frame-size", help="WxH used to clip records (inferred when absent)")
-    p.add_argument("--iou-cut", type=_iou_cut, default=0.5)
     p.add_argument("--json", help="also write the report as JSON ('-' for stdout)")
     p.set_defaults(func=_cmd_eval)
 
@@ -325,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-frames", type=int, default=300)
     p.add_argument("--preset", choices=("standard", "clean"), default="standard")
     p.add_argument("--frame-size")
-    p.add_argument("--fp-rate", type=float, default=None)
-    p.add_argument("--fp-lifetime", type=int, default=None)
-    p.add_argument("--dropout-rate", type=float, default=None)
-    p.add_argument("--scene-breaks", help="comma-separated frame indices")
     p.add_argument("--image-format", choices=("pgm", "ppm"), default="pgm")
     p.set_defaults(func=_cmd_synth)
 
@@ -347,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--iou-cut", type=_iou_cut, default=0.5)
     p.add_argument("--json")
     _add_config_flags(p, exclude=("half_window",))
     p.set_defaults(func=_cmd_sweep)

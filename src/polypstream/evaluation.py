@@ -1,7 +1,7 @@
 """Polyp-level evaluation: matching rules and the derived metric suite.
 
 A detection is a true positive when it overlaps a ground-truth box with
-IoU strictly above the cut (0.5 by default) and that ground truth has not
+IoU strictly above ``IOU_CUT`` (0.5, fixed) and that ground truth has not
 already been claimed by a higher-confidence detection. Extra detections on
 an already-claimed ground truth count neither as TP nor FP. True negatives
 are frame-level: a polyp-free frame with no output at all.
@@ -14,6 +14,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .geometry import BoundingBox, GroundTruthBox, ScoredBox, centroid_to_corners, iou
+
+# a detection matches a ground truth only with IoU strictly above this
+IOU_CUT = 0.5
 
 
 @dataclass(frozen=True)
@@ -74,26 +77,23 @@ class EvalReport:
 
 
 def match_boxes(
-    dets: Sequence[ScoredBox], gts: Sequence[BoundingBox], iou_cut: float = 0.5
+    dets: Sequence[ScoredBox], gts: Sequence[BoundingBox]
 ) -> tuple[list[str], list[int]]:
     """Greedy per-frame assignment.
 
     Detections are processed in descending confidence (ties by input order);
-    each picks the unclaimed ground truth with the highest IoU above the cut.
-    Returns per-detection marks ('tp', 'fp', or 'dup' for extra detections on
-    a claimed ground truth) aligned with the input, plus claimed gt indices.
-    The cut must lie in [0, 1): below 0 disjoint boxes would match, and at 1
-    nothing could.
+    each picks the unclaimed ground truth with the highest IoU above
+    ``IOU_CUT``. Returns per-detection marks ('tp', 'fp', or 'dup' for extra
+    detections on a claimed ground truth) aligned with the input, plus
+    claimed gt indices.
     """
-    if not 0.0 <= iou_cut < 1.0:
-        raise ValueError(f"iou_cut must be in [0, 1), got {iou_cut}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
     marks = ["fp"] * len(dets)
     claimed: set[int] = set()
     for i in order:
         box = dets[i].box
         candidates = [(iou(box, g), j) for j, g in enumerate(gts)]
-        candidates = [(v, j) for v, j in candidates if v > iou_cut]
+        candidates = [(v, j) for v, j in candidates if v > IOU_CUT]
         if not candidates:
             continue
         free = [(v, j) for v, j in candidates if j not in claimed]
@@ -106,15 +106,9 @@ def match_boxes(
     return marks, sorted(claimed)
 
 
-def match_frame(
-    dets: Sequence[ScoredBox], gts: Sequence[BoundingBox], iou_cut: float = 0.5
-) -> FrameOutcome:
-    """Polyp-level TP/FP/FN counts for one frame; TN flags an all-empty frame."""
-    return _outcome(*match_boxes(dets, gts, iou_cut), len(gts))
-
-
 def _outcome(marks: list[str], claimed: list[int], n_gts: int) -> FrameOutcome:
-    """One frame's counts from the marks and claimed list of ``match_boxes``."""
+    """One frame's polyp-level TP/FP/FN counts from the marks and claimed
+    list of ``match_boxes``; TN flags an all-empty frame."""
     tp = len(claimed)
     return FrameOutcome(
         tp=tp,
@@ -208,7 +202,6 @@ def pdr(detected_by_polyp: Mapping[str, bool]) -> float:
 
 def evaluate_sequences(
     sequences: Sequence[tuple[Sequence[object], Sequence[Sequence[GroundTruthBox]]]],
-    iou_cut: float = 0.5,
 ) -> EvalReport:
     """Evaluate one or more (detections, ground-truth) sequences as a dataset.
 
@@ -229,7 +222,7 @@ def evaluate_sequences(
         for dets, gts in zip(dets_seq, gt_seq):
             boxes = tuple(getattr(dets, "boxes", dets))
             corners = [centroid_to_corners(g) for g in gts]
-            marks, claimed = match_boxes(boxes, corners, iou_cut)
+            marks, claimed = match_boxes(boxes, corners)
             outcomes.append(_outcome(marks, claimed, len(gts)))
             for g in gts:
                 flags.setdefault(g.polyp_id, False)

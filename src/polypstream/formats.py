@@ -42,18 +42,15 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _lines(source: IO[str] | str | Path | Iterable[str]) -> Iterable[tuple[int, str]]:
+def _lines(source: IO[str] | str | Path) -> Iterable[tuple[int, str]]:
     if isinstance(source, (str, Path)):
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot read {source}: {exc}") from None
-        yield from enumerate(text.splitlines(), start=1)
-        return
-    if hasattr(source, "read"):
-        yield from enumerate(source.read().splitlines(), start=1)
-        return
-    yield from enumerate(source, start=1)
+    else:
+        text = source.read()
+    yield from enumerate(text.splitlines(), start=1)
 
 
 def write_file(target: IO | str | Path, data: str | bytes) -> None:
@@ -115,7 +112,7 @@ def _parse_frame_index(token: str, line_no: int, n_frames: int | None) -> int:
 
 
 def parse_detections(
-    source: IO[str] | str | Path | Iterable[str],
+    source: IO[str] | str | Path,
     width: int | None = None,
     height: int | None = None,
     n_frames: int | None = None,
@@ -188,7 +185,7 @@ def parse_detections(
 
 
 def parse_groundtruth(
-    source: IO[str] | str | Path | Iterable[str],
+    source: IO[str] | str | Path,
     n_frames: int | None = None,
 ) -> list[list[GroundTruthBox]]:
     """Parse centroid-form annotations; duplicates of (frame, polyp_id) are errors."""

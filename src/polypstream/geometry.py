@@ -101,10 +101,6 @@ class FrameDetections:
                     f"{self.meta.width}x{self.meta.height}"
                 )
 
-    @property
-    def nb(self) -> int:
-        return len(self.boxes)
-
 
 @dataclass(frozen=True)
 class GroundTruthBox:

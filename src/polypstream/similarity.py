@@ -86,19 +86,6 @@ def to_luma(rgb_frame: np.ndarray) -> GrayFrame:
     return GrayFrame.from_array(kernels.luma(rgb))
 
 
-def downsample(g: GrayFrame, target_w: int, target_h: int) -> GrayFrame:
-    """Area-average resample; identity when the target equals the source."""
-    if target_w <= 0 or target_h <= 0:
-        raise InputError(f"target dimensions must be positive, got {target_w}x{target_h}")
-    if target_w > g.width or target_h > g.height:
-        raise InputError(
-            f"target {target_w}x{target_h} exceeds source {g.width}x{g.height}"
-        )
-    if target_w == g.width and target_h == g.height:
-        return g
-    return GrayFrame.from_array(kernels.box_downsample(g.samples, target_w, target_h))
-
-
 def _ssim_from_stats(sx: int, sy: int, sxx: int, syy: int, sxy: int, n: int) -> float:
     mx = sx / n
     my = sy / n
@@ -124,7 +111,7 @@ def ssim(x: GrayFrame, y: GrayFrame) -> float:
 
 
 def prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:
-    """Downsample a frame to the configured comparison size.
+    """Area-average downsample a frame to the configured comparison size.
 
     Never upsamples: frames already at or below the target size keep their
     samples, keeping the similarity cost bounded for large inputs. The
@@ -135,4 +122,4 @@ def prepare_luma(g: GrayFrame, p: SsimParams) -> GrayFrame:
     th = min(p.downsample_h, g.height)
     if (tw, th) == (g.width, g.height):
         return GrayFrame(g.width, g.height, g.samples)
-    return downsample(g, tw, th)
+    return GrayFrame.from_array(kernels.box_downsample(g.samples, tw, th))

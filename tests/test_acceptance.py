@@ -13,7 +13,12 @@ import pytest
 
 from polypstream.cli import run_cli
 from polypstream.config import derive_sweep_config
-from polypstream.correlator import IscuConfig, StreamCorrelator, process_sequence
+from polypstream.correlator import (
+    IscuConfig,
+    StreamCorrelator,
+    process_sequence,
+    sweep_sequence,
+)
 from polypstream.evaluation import FrameOutcome, aggregate, evaluate_sequences
 from polypstream.geometry import (
     BoundingBox,
@@ -56,18 +61,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def standard_runs():
-    """Standard noise scenario per seed, filtered at each half window."""
+    """Standard noise scenario per seed, filtered at each half window in one
+    sweep."""
     runs = []
     base = IscuConfig()
+    half_windows = (1, 2, 3, 4)
+    cfgs = [derive_sweep_config(base, hw) for hw in half_windows]
     for seed in SEEDS:
         sc = generate_scenario(standard_noise_config(seed))
         frames = list(sc.frames)
         dets = list(sc.raw_detections)
         gts = list(sc.ground_truth)
-        filtered = {
-            hw: process_sequence(frames, dets, derive_sweep_config(base, hw))
-            for hw in (1, 2, 3, 4)
-        }
+        filtered = dict(zip(half_windows, sweep_sequence(frames, dets, cfgs)))
         runs.append({"dets": dets, "gts": gts, "filtered": filtered})
     return runs
 

@@ -5,11 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 from polypstream import evaluation
 from polypstream.errors import InputError
 from polypstream.evaluation import (
+    IOU_CUT,
     FrameOutcome,
     aggregate,
     evaluate_sequences,
     match_boxes,
-    match_frame,
     pdr,
 )
 from polypstream.geometry import (
@@ -19,6 +19,7 @@ from polypstream.geometry import (
     FrameMeta,
     ScoredBox,
     corners_to_centroid,
+    iou,
 )
 
 from oracles import naive_average_precision
@@ -32,31 +33,39 @@ def bb(x0, y0, x1, y1):
     return BoundingBox(x0, y0, x1, y1)
 
 
+def frame_counts(dets, gts):
+    """(tp, fp, fn, tn) of one frame of corner-form ground truth, evaluated
+    as a one-frame sequence."""
+    annotations = [corners_to_centroid(g, f"p{j}") for j, g in enumerate(gts)]
+    rep = evaluate_sequences([([dets], [annotations])])
+    return rep.tp, rep.fp, rep.fn, rep.tn
+
+
 class TestMatchFrame:
     def test_empty_frame_is_true_negative(self):
-        assert match_frame([], []) == FrameOutcome(0, 0, 0, 1)
+        assert match_boxes([], []) == ([], [])
+        assert frame_counts([], []) == (0, 0, 0, 1)
 
     def test_single_hit(self):
-        out = match_frame([sb(0, 0, 10, 10)], [bb(1, 1, 11, 11)])
-        assert (out.tp, out.fp, out.fn, out.tn) == (1, 0, 0, 0)
+        assert frame_counts([sb(0, 0, 10, 10)], [bb(1, 1, 11, 11)]) == (1, 0, 0, 0)
 
     def test_duplicate_detection_not_counted_twice(self):
         dets = [sb(0, 0, 10, 10, 0.9), sb(0.5, 0.5, 10.5, 10.5, 0.8)]
-        out = match_frame(dets, [bb(0, 0, 10, 10)])
-        assert (out.tp, out.fp, out.fn) == (1, 0, 0)
+        assert match_boxes(dets, [bb(0, 0, 10, 10)]) == (["tp", "dup"], [0])
+        assert frame_counts(dets, [bb(0, 0, 10, 10)])[:3] == (1, 0, 0)
 
     def test_unmatched_detection_is_fp(self):
-        out = match_frame([sb(50, 50, 60, 60)], [])
-        assert (out.tp, out.fp, out.fn, out.tn) == (0, 1, 0, 0)
+        assert frame_counts([sb(50, 50, 60, 60)], []) == (0, 1, 0, 0)
 
     def test_undetected_gt_is_fn(self):
-        out = match_frame([], [bb(0, 0, 10, 10)])
-        assert (out.tp, out.fp, out.fn, out.tn) == (0, 0, 1, 0)
+        assert frame_counts([], [bb(0, 0, 10, 10)]) == (0, 0, 1, 0)
 
     def test_iou_cut_is_strict(self):
-        # IoU exactly 0.5: (0,0,10,20) vs (0,0,10,10) -> inter 100, union 200
-        out = match_frame([sb(0, 0, 10, 20)], [bb(0, 0, 10, 10)])
-        assert (out.tp, out.fp, out.fn) == (0, 1, 1)
+        # IoU exactly IOU_CUT: (0,0,10,20) vs (0,0,10,10) -> inter 100, union 200
+        det, gt = sb(0, 0, 10, 20), bb(0, 0, 10, 10)
+        assert iou(det.box, gt) == IOU_CUT
+        assert match_boxes([det], [gt]) == (["fp"], [])
+        assert frame_counts([det], [gt])[:3] == (0, 1, 1)
 
     def test_confidence_priority(self):
         # lower-confidence detection has better IoU but the higher one matches first
@@ -87,8 +96,8 @@ class TestMatchFrame:
                     r.random(5),
                 )
             ]
-            out = match_frame(dets, gts)
-            assert out.tp + out.fn == len(gts)
+            tp, _, fn, _ = frame_counts(dets, gts)
+            assert tp + fn == len(gts)
 
 
 class TestAggregate:
@@ -324,11 +333,3 @@ class TestEvaluateSequences:
         dets = [d for d, _ in frames]
         gts = [[bb(10, 10, 30, 30)] if g else [] for _, g in frames]
         assert rep.map == pytest.approx(naive_average_precision(dets, gts), abs=1e-12)
-
-    def test_iou_cut_outside_unit_interval_rejected(self):
-        # a cut below 0 would count this disjoint pair as a true positive
-        gt = corners_to_centroid(bb(50, 50, 60, 60), "a")
-        seq = self._seq([([sb(0, 0, 10, 10)], [gt])])
-        assert evaluate_sequences([seq], iou_cut=0.5).tp == 0
-        with pytest.raises(ValueError, match="iou_cut"):
-            evaluate_sequences([seq], iou_cut=-1.0)

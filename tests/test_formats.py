@@ -36,7 +36,7 @@ class TestParseDetections:
     def test_basic_record(self):
         out = parse_detections(io.StringIO("0 10 10 20 20 0.9\n"), 100, 100)
         assert len(out) == 1
-        assert out[0].nb == 1
+        assert len(out[0].boxes) == 1
         box = out[0].boxes[0]
         assert box.box.as_tuple() == (10, 10, 20, 20)
         assert box.confidence == 0.9
@@ -45,7 +45,7 @@ class TestParseDetections:
     def test_empty_file_gives_empty_frames(self):
         out = parse_detections(io.StringIO(""), 100, 100, n_frames=4)
         assert len(out) == 4
-        assert all(d.nb == 0 for d in out)
+        assert all(len(d.boxes) == 0 for d in out)
 
     def test_inverted_x_rejected_with_line(self):
         with pytest.raises(InputError, match="line 1"):
@@ -84,7 +84,7 @@ class TestParseDetections:
 
     def test_missing_frames_empty(self):
         out = parse_detections(io.StringIO("2 1 1 2 2 0.5\n"), 10, 10)
-        assert [d.nb for d in out] == [0, 0, 1]
+        assert [len(d.boxes) for d in out] == [0, 0, 1]
 
 
 class TestParseGroundtruth:

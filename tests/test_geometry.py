@@ -174,7 +174,7 @@ class TestFrameDetections:
 
         meta = FrameMeta(100, 100, 0)
         d = FrameDetections(meta, (ScoredBox(box(0, 0, 10, 10), 0.5),))
-        assert d.nb == 1
+        assert len(d.boxes) == 1
 
     def test_rejects_out_of_frame(self):
         from polypstream.geometry import FrameDetections

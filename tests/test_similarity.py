@@ -7,7 +7,6 @@ from polypstream.errors import InputError
 from polypstream.similarity import (
     GrayFrame,
     SsimParams,
-    downsample,
     prepare_luma,
     ssim,
     to_luma,
@@ -84,23 +83,19 @@ class TestToLuma:
 class TestDownsample:
     def test_identity_dims(self):
         g = random_frame(np.random.default_rng(0), 8, 8)
-        out = downsample(g, 8, 8)
+        out = prepare_luma(g, SsimParams(8, 8))
         assert np.array_equal(out.samples, g.samples)
 
     def test_two_by_two_mean_rounds_half_up(self):
         g = gray([[0, 0], [255, 255]])
-        out = downsample(g, 1, 1)
+        out = prepare_luma(g, SsimParams(1, 1))
         assert out.samples[0, 0] == 128  # mean 127.5
 
     def test_constant_stays_constant(self):
         g = gray(np.full((30, 40), 77))
-        out = downsample(g, 7, 11)
+        out = prepare_luma(g, SsimParams(7, 11))
+        assert (out.width, out.height) == (7, 11)
         assert np.all(out.samples == 77)
-
-    def test_upsample_rejected(self):
-        g = gray(np.zeros((4, 4)))
-        with pytest.raises(InputError):
-            downsample(g, 8, 4)
 
     def test_prepare_luma_never_upsamples(self):
         g = gray(np.zeros((10, 10)))

@@ -89,7 +89,7 @@ class TestDetectorSimulation:
     def test_noiseless_equals_ground_truth(self):
         sc = generate_scenario(base_config())
         for dets, gts in zip(sc.raw_detections, sc.ground_truth):
-            assert dets.nb == len(gts)
+            assert len(dets.boxes) == len(gts)
             for d, g in zip(dets.boxes, gts):
                 assert d.box == centroid_to_corners(g)
 
@@ -102,7 +102,7 @@ class TestDetectorSimulation:
         )
         cfg = base_config(n_frames=1000, tp_dropout_rate=0.1, tracks=(stayer,))
         sc = generate_scenario(cfg)
-        dropped = sum(1 for d in sc.raw_detections if d.nb == 0)
+        dropped = sum(1 for d in sc.raw_detections if len(d.boxes) == 0)
         # 99% binomial interval around 100 of 1000
         assert 75 <= dropped <= 125
 
@@ -212,7 +212,7 @@ class TestEpisodeScheduling:
             tp_dropout_episode_len=10,
         )
         sc = generate_scenario(cfg)
-        missing = [t for t, d in enumerate(sc.raw_detections) if d.nb == 0]
+        missing = [t for t, d in enumerate(sc.raw_detections) if len(d.boxes) == 0]
         assert len(missing) == 40  # two episodes of 2x10
         runs = []
         start = prev = missing[0]
