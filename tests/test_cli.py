@@ -967,6 +967,27 @@ def test_help_lists_exactly_the_pinned_flags(capsys, command):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("cut", ["-1", "1"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_iou_cut_out_of_range_exit_1(self, tmp_path, capsys, command, cut):
+        # The cut is fixed at IOU_CUT, so an out-of-range value on the command
+        # line is refused as an unknown flag rather than silently ignored.
+        root, _ = make_scenario_dir(tmp_path, seed=4, n_frames=10)
+        args = [
+            "--detections",
+            str(root / "detections.txt"),
+            "--ground-truth",
+            str(root / "groundtruth.txt"),
+            "--iou-cut",
+            cut,
+        ]
+        if command == "sweep":
+            args += ["--half-window", "1", "--frames", str(root / "frames")]
+        assert run_cli([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --iou-cut {cut}" in captured.err
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
