@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input error (bad flags, malformed files), 2
 internal invariant violation. Reports are printed as ``key = value`` text;
-``--json`` writes the same report as JSON.
+``--json`` writes the same report as JSON, and ``--json -`` prints the JSON
+alone in place of the text.
 """
 
 from __future__ import annotations
@@ -98,21 +99,17 @@ def _load_sequence(frames_dir: str, det_path: str):
     )
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
-
-
-def _print_report(report: EvalReport, out=None) -> None:
-    out = out or sys.stdout
+def _print_report(report: EvalReport) -> None:
     for key, value in report.to_dict().items():
-        if key.endswith("_pct") and value is not None:
-            print(f"{key} = {value:.2f}", file=out)
+        if value is None:
+            text = "n/a"
+        elif key.endswith("_pct"):
+            text = f"{value:.2f}"
+        elif isinstance(value, float):
+            text = f"{value:.4f}"
         else:
-            print(f"{key} = {_format_value(value)}", file=out)
+            text = str(value)
+        print(f"{key} = {text}")
 
 
 def _check_writable(path: str | None) -> None:
@@ -180,7 +177,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         sequences.append((dets, gts))
 
     report = evaluate_sequences(sequences)
-    _print_report(report)
+    if args.json != "-":
+        _print_report(report)
     if args.json:
         _write_json(args.json, report.to_dict())
     return 0
@@ -229,13 +227,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.synthetic_frames < 1:
         raise InputError(f"--synthetic-frames must be >= 1, got {args.synthetic_frames}")
     w, h = _parse_size(args.frame_size)
-    pool = make_bench_frames(w, h, seed=args.seed)
+    pool = make_bench_frames(w, h)
     dets = make_bench_detections(w, h, args.synthetic_frames)
 
     result = bench_correlator(pool, dets, cfg)
-    print(f"n_frames = {result.n_frames}")
-    print(f"mpt_ms = {result.mpt_ms:.4f}")
-    print(f"max_ms = {result.max_ms:.4f}")
+    if args.json != "-":
+        print(f"n_frames = {result.n_frames}")
+        print(f"mpt_ms = {result.mpt_ms:.4f}")
+        print(f"max_ms = {result.max_ms:.4f}")
     payload = {"frame_size": f"{w}x{h}", "results": [dataclasses.asdict(result)]}
     if args.json:
         _write_json(args.json, payload)
@@ -261,8 +260,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     payload = []
     for n, results in zip(half_windows, sweep_sequence(frames, dets, cfgs)):
         report = evaluate_sequences([(results, gts)])
-        print(f"[half_window = {n}]")
-        _print_report(report)
+        if args.json != "-":
+            print(f"[half_window = {n}]")
+            _print_report(report)
         payload.append({"half_window": n, **report.to_dict()})
     if args.json:
         _write_json(args.json, {"sweep": payload})
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", nargs="+", required=True)
     p.add_argument("--num-frames", nargs="+", type=int, default=None)
     p.add_argument("--frame-size", help="WxH used to clip records (inferred when absent)")
-    p.add_argument("--json", help="also write the report as JSON ('-' for stdout)")
+    p.add_argument("--json", help="also write the report as JSON ('-': JSON alone on stdout)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ssim", help="similarity score of two frames")
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-frame timing of the correlation unit")
     p.add_argument("--synthetic-frames", type=int, default=1000)
     p.add_argument("--frame-size", default="1280x1080")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_bench)

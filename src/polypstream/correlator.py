@@ -50,6 +50,7 @@ from .geometry import (
     ScoredBox,
     adaptive_iou_threshold,
     iou,
+    iou_matrix,
 )
 from .similarity import GrayFrame, SsimParams, prepare_luma, ssim
 
@@ -158,34 +159,13 @@ class FrameOverlaps:
         self.links: list[list[tuple[int, int, float]]] = [[] for _ in boxes]
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every column of ``a`` with every column of ``b``
-    (``FrameOverlaps.cols``), one row per column of ``a``.
-
-    Elementwise in ``geometry.iou``'s operation order: min/max, subtract,
-    multiply, divide. An extent <= 0 is clamped to 0, so the IoU is 0 there
-    too; every value equals the scalar function's bit for bit (a zero may
-    carry a sign).
-    """
-    a = a[:, :, None]
-    b = b[:, None, :]
-    extent = np.minimum(a[2:4], b[2:4])
-    extent -= np.maximum(a[:2], b[:2])
-    np.maximum(extent, 0.0, out=extent)
-    inter = extent[0] * extent[1]
-    union = a[4] + b[4]
-    union -= inter
-    inter /= union
-    return inter
-
-
 def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps) -> None:
     """Score ``new``'s boxes against every box of ``earlier`` with one IoU
     matrix and record each overlapping pair on both sides."""
     earlier = [e for e in earlier if e.thresholds]
     if not earlier or not new.thresholds:
         return
-    matrix = _iou_matrix(np.concatenate([e.cols for e in earlier], axis=1), new.cols)
+    matrix = iou_matrix(np.concatenate([e.cols for e in earlier], axis=1), new.cols)
     rows = iter(matrix.tolist())
     t = new.index
     for e in earlier:

@@ -9,7 +9,7 @@ are frame-level: a polyp-free frame with no output at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -17,6 +17,8 @@ from .geometry import BoundingBox, GroundTruthBox, ScoredBox, centroid_to_corner
 
 # a detection matches a ground truth only with IoU strictly above this
 IOU_CUT = 0.5
+# the EvalReport fields that hold a percentage
+_PERCENT_FIELDS = frozenset({"sen", "pre", "spe", "f1", "f2", "pdr"})
 
 
 @dataclass(frozen=True)
@@ -58,21 +60,10 @@ class EvalReport:
     map: float | None = None
 
     def to_dict(self) -> dict:
+        """The fields by name; a percentage's name ends in ``_pct``."""
         return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "n_frames": self.n_frames,
-            "n_negative_frames": self.n_negative_frames,
-            "sen_pct": self.sen,
-            "pre_pct": self.pre,
-            "spe_pct": self.spe,
-            "f1_pct": self.f1,
-            "f2_pct": self.f2,
-            "mnfp": self.mnfp,
-            "pdr_pct": self.pdr,
-            "map": self.map,
+            f"{key}_pct" if key in _PERCENT_FIELDS else key: value
+            for key, value in asdict(self).items()
         }
 
 

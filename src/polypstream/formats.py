@@ -3,8 +3,11 @@
 Detection records are whitespace-separated lines
 ``frame_index x_min y_min x_max y_max confidence [origin]``; ground-truth
 records are ``frame_index polyp_id cx cy w h`` (centroid form). ``#`` starts
-a comment. Floats are written with 6 significant digits, which is the
-round-trip precision of these files.
+a comment. Both formats are read through one scanner, ``_records``, which
+checks what they share (the declared length, the field count and the frame
+index), and written through one writer, ``_write_records``. Floats are
+written with 6 significant digits, which is the round-trip precision of
+these files.
 
 Frames are binary PGM (P5) or PPM (P6) with maxval 255, named by
 zero-padded frame index.
@@ -31,15 +34,10 @@ from .geometry import (
 )
 from .similarity import GrayFrame, to_luma
 
-_ORIGIN_TOKENS = {"det": BoxOrigin.DETECTOR, "interp": BoxOrigin.INTERPOLATED}
 _FRAME_FILE_RE = re.compile(r"^(\d+)\.(pgm|ppm)$", re.IGNORECASE)
 # the longest sequence a record file may describe, declared or implied by its
 # indices: 9 hours at 30 fps
 _MAX_FRAMES = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _lines(source: IO[str] | str | Path) -> Iterable[tuple[int, str]]:
@@ -85,30 +83,45 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise InputError(f"line {line_no}: {what} {token!r} is not an integer") from None
 
 
-def _check_length(n_frames: int | None) -> None:
-    """Refuse a declared sequence length that is negative or above
-    ``_MAX_FRAMES``: every frame up to it gets its own entry."""
+def _records(
+    source: IO[str] | str | Path,
+    n_frames: int | None,
+    counts: tuple[int, ...],
+    layout: str,
+) -> Iterator[tuple[int, int, list[str]]]:
+    """Each record line of a record file as ``(line number, frame index,
+    fields)``, after the checks both formats share: the declared length
+    ``n_frames`` lies in ``[0, _MAX_FRAMES]``, a line holds one of ``counts``
+    fields (``layout`` names them in the message), and its frame index is
+    below ``n_frames``, or below ``_MAX_FRAMES`` when no length is declared:
+    every index up to the largest gets its own frame entry. Text after ``#``
+    and blank lines are skipped.
+    """
     if n_frames is not None and not 0 <= n_frames <= _MAX_FRAMES:
         raise InputError(f"declared length {n_frames} outside [0, {_MAX_FRAMES}] frames")
-
-
-def _parse_frame_index(token: str, line_no: int, n_frames: int | None) -> int:
-    """A record's frame index, below ``n_frames`` when that is declared and
-    else below ``_MAX_FRAMES``: every index up to the largest gets its own
-    frame entry."""
-    frame_index = _parse_int(token, line_no, "frame index")
-    if frame_index < 0:
-        raise InputError(f"line {line_no}: frame index must be >= 0")
-    if n_frames is not None and frame_index >= n_frames:
-        raise InputError(
-            f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
-        )
-    if n_frames is None and frame_index >= _MAX_FRAMES:
-        raise InputError(
-            f"line {line_no}: frame index {frame_index} beyond {_MAX_FRAMES} frames; "
-            "declare the sequence length to read it"
-        )
-    return frame_index
+    expected = " or ".join(str(c) for c in counts)
+    for line_no, raw in _lines(source):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        fields = text.split()
+        if len(fields) not in counts:
+            raise InputError(
+                f"line {line_no}: expected {expected} fields ({layout}), got {len(fields)}"
+            )
+        frame_index = _parse_int(fields[0], line_no, "frame index")
+        if frame_index < 0:
+            raise InputError(f"line {line_no}: frame index must be >= 0")
+        if n_frames is not None and frame_index >= n_frames:
+            raise InputError(
+                f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
+            )
+        if n_frames is None and frame_index >= _MAX_FRAMES:
+            raise InputError(
+                f"line {line_no}: frame index {frame_index} beyond {_MAX_FRAMES} frames; "
+                "declare the sequence length to read it"
+            )
+        yield line_no, frame_index, fields
 
 
 def parse_detections(
@@ -122,23 +135,13 @@ def parse_detections(
     Boxes are clipped to the frame; a record that clips to nothing is an
     error. A dimension not given is the ceiling of the records' largest
     ``x_max`` (or ``y_max``), at least 1, so clipping on it is a no-op.
-    Frames with no records come back with empty detection lists, up to
-    ``n_frames`` (or the highest index seen when not given).
+    Every record is checked before any is clipped. Frames with no records
+    come back with empty detection lists, up to ``n_frames`` (or the highest
+    index seen when not given).
     """
-    _check_length(n_frames)
     records = []  # (line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin)
-    max_index = -1
-    for line_no, raw in _lines(source):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) not in (6, 7):
-            raise InputError(
-                f"line {line_no}: expected 6 or 7 fields "
-                f"(frame x_min y_min x_max y_max confidence [origin]), got {len(fields)}"
-            )
-        frame_index = _parse_frame_index(fields[0], line_no, n_frames)
+    layout = "frame x_min y_min x_max y_max confidence [origin]"
+    for line_no, frame_index, fields in _records(source, n_frames, (6, 7), layout):
         x_min = _parse_float(fields[1], line_no, "x_min")
         y_min = _parse_float(fields[2], line_no, "y_min")
         x_max = _parse_float(fields[3], line_no, "x_max")
@@ -153,13 +156,12 @@ def parse_detections(
         origin = BoxOrigin.DETECTOR
         if len(fields) == 7:
             try:
-                origin = _ORIGIN_TOKENS[fields[6]]
-            except KeyError:
+                origin = BoxOrigin(fields[6])
+            except ValueError:
                 raise InputError(
                     f"line {line_no}: origin must be 'det' or 'interp', got {fields[6]!r}"
                 ) from None
         records.append((line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin))
-        max_index = max(max_index, frame_index)
 
     if width is None:
         width = max(1, math.ceil(max((r[4] for r in records), default=1)))
@@ -177,7 +179,7 @@ def parse_detections(
             )
         per_frame.setdefault(frame_index, []).append(ScoredBox(clipped, confidence, origin))
 
-    length = n_frames if n_frames is not None else max_index + 1
+    length = n_frames if n_frames is not None else max(per_frame, default=-1) + 1
     return [
         FrameDetections(FrameMeta(width, height, i), tuple(per_frame.get(i, ())))
         for i in range(length)
@@ -189,40 +191,32 @@ def parse_groundtruth(
     n_frames: int | None = None,
 ) -> list[list[GroundTruthBox]]:
     """Parse centroid-form annotations; duplicates of (frame, polyp_id) are errors."""
-    _check_length(n_frames)
-    per_frame: dict[int, list[GroundTruthBox]] = {}
-    seen: set[tuple[int, str]] = set()
-    max_index = -1
-    for line_no, raw in _lines(source):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) != 6:
-            raise InputError(
-                f"line {line_no}: expected 6 fields (frame polyp_id cx cy w h), got {len(fields)}"
-            )
-        frame_index = _parse_frame_index(fields[0], line_no, n_frames)
+    per_frame: dict[int, dict[str, GroundTruthBox]] = {}
+    for line_no, frame_index, fields in _records(
+        source, n_frames, (6,), "frame polyp_id cx cy w h"
+    ):
         polyp_id = fields[1]
         cx = _parse_float(fields[2], line_no, "cx")
         cy = _parse_float(fields[3], line_no, "cy")
         bw = _parse_float(fields[4], line_no, "w")
         bh = _parse_float(fields[5], line_no, "h")
-        key = (frame_index, polyp_id)
-        if key in seen:
+        by_id = per_frame.setdefault(frame_index, {})
+        if polyp_id in by_id:
             raise InputError(
                 f"line {line_no}: duplicate annotation for polyp {polyp_id!r} in frame {frame_index}"
             )
-        seen.add(key)
         try:
-            gt = GroundTruthBox(cx, cy, bw, bh, polyp_id)
+            by_id[polyp_id] = GroundTruthBox(cx, cy, bw, bh, polyp_id)
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from None
-        per_frame.setdefault(frame_index, []).append(gt)
-        max_index = max(max_index, frame_index)
 
-    length = n_frames if n_frames is not None else max_index + 1
-    return [per_frame.get(i, []) for i in range(length)]
+    length = n_frames if n_frames is not None else max(per_frame, default=-1) + 1
+    return [list(per_frame[i].values()) if i in per_frame else [] for i in range(length)]
+
+
+def _write_records(target: IO[str] | str | Path, lines: list[str]) -> None:
+    """Write record lines, each ended by a newline."""
+    write_file(target, "\n".join(lines) + "\n" if lines else "")
 
 
 def write_detections(
@@ -232,43 +226,29 @@ def write_detections(
 ) -> None:
     lines = []
     for fd in frames:
-        boxes = fd.boxes
-        for sb in boxes:
+        i = fd.meta.frame_index
+        for sb in fd.boxes:
             b = sb.box
-            fields = [
-                str(fd.meta.frame_index),
-                _fmt(b.x_min),
-                _fmt(b.y_min),
-                _fmt(b.x_max),
-                _fmt(b.y_max),
-                _fmt(sb.confidence),
-            ]
-            if include_origin:
-                fields.append(sb.origin.value)
-            lines.append(" ".join(fields))
-    write_file(target, "\n".join(lines) + ("\n" if lines else ""))
+            line = (
+                f"{i} {b.x_min:.6g} {b.y_min:.6g} {b.x_max:.6g} {b.y_max:.6g} "
+                f"{sb.confidence:.6g}"
+            )
+            lines.append(f"{line} {sb.origin.value}" if include_origin else line)
+    _write_records(target, lines)
 
 
 def write_groundtruth(
     target: IO[str] | str | Path,
     ground_truth: Sequence[Sequence[GroundTruthBox]],
 ) -> None:
-    lines = []
-    for frame_index, gts in enumerate(ground_truth):
-        for g in gts:
-            lines.append(
-                " ".join(
-                    [
-                        str(frame_index),
-                        g.polyp_id,
-                        _fmt(g.centroid_x),
-                        _fmt(g.centroid_y),
-                        _fmt(g.width),
-                        _fmt(g.height),
-                    ]
-                )
-            )
-    write_file(target, "\n".join(lines) + ("\n" if lines else ""))
+    _write_records(
+        target,
+        [
+            f"{i} {g.polyp_id} {g.centroid_x:.6g} {g.centroid_y:.6g} {g.width:.6g} {g.height:.6g}"
+            for i, gts in enumerate(ground_truth)
+            for g in gts
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class BoxOrigin(enum.Enum):
     """Where a box in a filtered frame came from."""
@@ -151,6 +153,27 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every column of ``a`` with every column of ``b``, one row per
+    column of ``a``. A column holds ``x_min``, ``y_min``, ``x_max``, ``y_max``
+    and the area, as ``correlator.FrameOverlaps.cols`` does.
+
+    Elementwise in ``iou``'s operation order: min/max, subtract, multiply,
+    divide. An extent <= 0 is clamped to 0, so the IoU is 0 there too; every
+    value equals ``iou``'s bit for bit (a zero may carry a sign).
+    """
+    a = a[:, :, None]
+    b = b[:, None, :]
+    extent = np.minimum(a[2:4], b[2:4])
+    extent -= np.maximum(a[:2], b[:2])
+    np.maximum(extent, 0.0, out=extent)
+    inter = extent[0] * extent[1]
+    union = a[4] + b[4]
+    union -= inter
+    inter /= union
+    return inter
 
 
 def adaptive_iou_threshold(box: BoundingBox, meta: FrameMeta) -> float:

@@ -253,9 +253,7 @@ class TestEvalCommand:
             ["0 10 10 30 30 0.9\n", "1 200 200 220 220 0.8\n"],
             ["0 p1 20 20 20 20\n", "1 p1 21 20 20 20\n"],
         )
-        code = run_cli(
-            ["eval", "--detections", str(det), "--ground-truth", str(gt), "--json", "-"]
-        )
+        code = run_cli(["eval", "--detections", str(det), "--ground-truth", str(gt)])
         assert code == 0
         out = capsys.readouterr().out
         assert "tp = 1" in out
@@ -294,7 +292,15 @@ class TestEvalCommand:
         assert run_cli(args) == 0
         text = capsys.readouterr().out
         assert "mpt" not in text
-        assert "mpt_ms" not in json.loads(text[text.index("{"):])
+        assert "mpt_ms" not in json.loads(text)
+
+    def test_json_dash_prints_only_json(self, tmp_path, capsys):
+        det, gt = self._write_pair(
+            tmp_path, ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"]
+        )
+        args = ["eval", "--detections", str(det), "--ground-truth", str(gt), "--json", "-"]
+        assert run_cli(args) == 0
+        assert json.loads(capsys.readouterr().out)["tp"] == 1
 
     def test_unwritable_json_exit_1(self, tmp_path, capsys):
         det, gt = self._write_pair(
@@ -657,6 +663,11 @@ class TestBenchCommand:
         assert data["results"][0]["n_frames"] == 40
         assert data["results"][0]["mpt_ms"] > 0
 
+    def test_json_dash_prints_only_json(self, capsys):
+        args = ["bench", "--synthetic-frames", "5", "--frame-size", "160x120", "--json", "-"]
+        assert run_cli(args) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["n_frames"] == 5
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_non_positive_synthetic_frames_exit_1(self, count, capsys):
         code = run_cli(["bench", "--synthetic-frames", count, "--frame-size", "160x120"])
@@ -698,9 +709,15 @@ class TestSweepCommand:
         assert run_cli(args) == 0
         text = capsys.readouterr().out
         assert "mpt" not in text
-        rows = json.loads(text[text.index("{"):])["sweep"]
+        rows = json.loads(text)["sweep"]
         assert [row["half_window"] for row in rows] == [1, 2]
         assert all("mpt_ms" not in row for row in rows)
+
+    def test_json_dash_prints_only_json(self, tmp_path, capsys):
+        root, _ = make_scenario_dir(tmp_path, n_frames=8)
+        assert run_cli(self.sweep_args(root, "2,1", "-")) == 0
+        rows = json.loads(capsys.readouterr().out)["sweep"]
+        assert [row["half_window"] for row in rows] == [2, 1]
 
     def test_standard_scenario_precision_trend(self, tmp_path):
         scen = tmp_path / "standard"
@@ -954,7 +971,7 @@ HELP_FLAGS = {
     "eval": {"--detections", "--ground-truth", "--num-frames", "--frame-size", "--json"},
     "ssim": {"--config", "--downsample-w", "--downsample-h"},
     "synth": {"--out", "--seed", "--n-frames", "--preset", "--frame-size", "--image-format"},
-    "bench": {"--synthetic-frames", "--frame-size", "--seed", "--json", *CONFIG_FLAGS},
+    "bench": {"--synthetic-frames", "--frame-size", "--json", *CONFIG_FLAGS},
     "sweep": {"--frames", "--detections", "--ground-truth", "--json", *CONFIG_FLAGS},
 }
 
@@ -997,12 +1014,15 @@ class TestExitCodes:
             ("synth", "--fp-lifetime", "2"),
             ("synth", "--dropout-rate", "0.1"),
             ("synth", "--scene-breaks", "1"),
+            ("bench", "--seed", "1"),
         ],
     )
     def test_removed_flag_unrecognized_exit_1(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         if command == "synth":
             args = ["--out", str(out), "--n-frames", "3"]
+        elif command == "bench":
+            args = ["--synthetic-frames", "3", "--frame-size", "160x120", "--json", str(out)]
         else:
             root, _ = make_scenario_dir(tmp_path, seed=4, n_frames=10)
             args = [

@@ -26,6 +26,7 @@ from polypstream.geometry import (
     FrameMeta,
     ScoredBox,
     iou,
+    iou_matrix,
 )
 from polypstream.similarity import GrayFrame, SsimParams, ssim
 from polypstream.synthetic import (
@@ -109,7 +110,7 @@ class TestIouMatrix:
         cols = lambda boxes: FrameOverlaps(
             FrameDetections(FrameMeta(30, 30, 0), tuple(ScoredBox(x, 0.9) for x in boxes))
         ).cols
-        matrix = correlator._iou_matrix(cols(a), cols(b)).tolist()
+        matrix = iou_matrix(cols(a), cols(b)).tolist()
         assert matrix == [[iou(x, y) for y in b] for x in a]
 
 

@@ -109,6 +109,67 @@ class TestParseGroundtruth:
         assert len(out[0]) == 1 and len(out[1]) == 1
 
 
+_DET_FIELDS = "(frame x_min y_min x_max y_max confidence [origin])"
+_BEYOND_MAX = "beyond 1000000 frames; declare the sequence length to read it"
+
+# (parser, file text, keyword arguments, the exact message it raises)
+RECORD_ERRORS = [
+    (parse_detections, "0 1 1 2 2\n", {}, f"line 1: expected 6 or 7 fields {_DET_FIELDS}, got 5"),
+    (parse_detections, "0 1 1 2 2 0.5 det x\n", {},
+     f"line 1: expected 6 or 7 fields {_DET_FIELDS}, got 8"),
+    (parse_detections, "# header\n\n0 1 1 2\n", {},
+     f"line 3: expected 6 or 7 fields {_DET_FIELDS}, got 4"),
+    (parse_detections, "0 1 1 2 x 0.5\n", {}, "line 1: y_max 'x' is not a number"),
+    (parse_detections, "0 1 1 inf 2 0.5\n", {}, "line 1: x_max 'inf' is not finite"),
+    (parse_detections, "0 1 1 2 2 nan\n", {}, "line 1: confidence 'nan' is not finite"),
+    (parse_detections, "1.5 1 1 2 2 0.5\n", {}, "line 1: frame index '1.5' is not an integer"),
+    (parse_detections, "-1 1 1 2 2 0.5\n", {}, "line 1: frame index must be >= 0"),
+    (parse_detections, "7 1 1 2 2 0.5\n", {"n_frames": 5},
+     "line 1: frame index 7 beyond declared length 5"),
+    (parse_detections, "1000000 1 1 2 2 0.5\n", {}, f"line 1: frame index 1000000 {_BEYOND_MAX}"),
+    (parse_detections, "3 20 10 10 20 0.5\n", {}, "line 1: x_min 20 must be < x_max 10"),
+    (parse_detections, "3 1 20 10 10 0.5\n", {}, "line 1: y_min 20 must be < y_max 10"),
+    (parse_detections, "0 1 1 2 2 1.5\n", {}, "line 1: confidence 1.5 outside [0, 1]"),
+    (parse_detections, "0 1 1 2 2 0.5 maybe\n", {},
+     "line 1: origin must be 'det' or 'interp', got 'maybe'"),
+    (parse_detections, "0 50 50 60 60 0.9\n", {"width": 10, "height": 10},
+     "line 1: box lies entirely outside the 10x10 frame"),
+    (parse_detections, "0 0 0 1e-200 1e-200 0.9\n", {},
+     "line 1: box area underflows to 0, got (0.0, 0.0, 1e-200, 1e-200)"),
+    (parse_detections, "", {"n_frames": -1}, "declared length -1 outside [0, 1000000] frames"),
+    (parse_detections, "0 1 1 2 x 0.5\n", {"n_frames": 1000001},
+     "declared length 1000001 outside [0, 1000000] frames"),
+    # every line is checked before any is clipped: line 2's bad number wins
+    # over line 1's box that clips to nothing
+    (parse_detections, "0 50 50 60 60 0.9\n0 1 1 2 x 0.5\n", {"width": 10, "height": 10},
+     "line 2: y_max 'x' is not a number"),
+    (parse_groundtruth, "0 p1 1 2 3\n", {},
+     "line 1: expected 6 fields (frame polyp_id cx cy w h), got 5"),
+    (parse_groundtruth, "0 p1 x 2 3 4\n", {}, "line 1: cx 'x' is not a number"),
+    (parse_groundtruth, "0 p1 5 5 inf 4\n", {}, "line 1: w 'inf' is not finite"),
+    (parse_groundtruth, "a p1 5 5 2 2\n", {}, "line 1: frame index 'a' is not an integer"),
+    (parse_groundtruth, "-2 p1 5 5 2 2\n", {}, "line 1: frame index must be >= 0"),
+    (parse_groundtruth, "3 p1 5 5 2 2\n", {"n_frames": 3},
+     "line 1: frame index 3 beyond declared length 3"),
+    (parse_groundtruth, "1000000 p1 5 5 2 2\n", {}, f"line 1: frame index 1000000 {_BEYOND_MAX}"),
+    (parse_groundtruth, "5 p1 50 50 0 10\n", {},
+     "line 1: ground truth extent must be positive, got 0.0x10.0"),
+    (parse_groundtruth, "0 p1 1 1 4 4\n", {},
+     "line 1: box coordinates must be >= 0, got (-1.0, -1.0, 3.0, 3.0)"),
+    (parse_groundtruth, "5 p1 50 50 20 10\n# again\n5 p1 60 60 20 10\n", {},
+     "line 3: duplicate annotation for polyp 'p1' in frame 5"),
+    (parse_groundtruth, "0 p1 x 2 3 4\n", {"n_frames": -1},
+     "declared length -1 outside [0, 1000000] frames"),
+]
+
+
+@pytest.mark.parametrize("parse, text, kwargs, message", RECORD_ERRORS)
+def test_record_error_message(parse, text, kwargs, message):
+    with pytest.raises(InputError) as info:
+        parse(io.StringIO(text), **kwargs)
+    assert str(info.value) == message
+
+
 class TestRoundTrip:
     def test_detections_round_trip(self):
         meta = FrameMeta(320, 240, 0)
