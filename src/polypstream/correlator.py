@@ -166,16 +166,14 @@ def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps) -> None:
     if not earlier or not new.thresholds:
         return
     matrix = iou_matrix(np.concatenate([e.cols for e in earlier], axis=1), new.cols)
-    rows = iter(matrix.tolist())
+    # one entry per matrix row; the row-major hits keep frame then box order
+    rows = [(e.index, i, links) for e in earlier for i, links in enumerate(e.links)]
+    hits = np.nonzero(matrix > 0.0)  # skips the signed zeros of disjoint boxes too
     t = new.index
-    for e in earlier:
-        f = e.index
-        for i, links in enumerate(e.links):
-            for j, v in enumerate(next(rows)):
-                # skips the signed zeros of disjoint boxes too
-                if v > 0.0:
-                    links.append((t, j, v))
-                    new.links[j].append((f, i, v))
+    for r, j, v in zip(hits[0].tolist(), hits[1].tolist(), matrix[hits].tolist()):
+        f, i, links = rows[r]
+        links.append((t, j, v))
+        new.links[j].append((f, i, v))
 
 
 def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
@@ -234,23 +232,26 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
     if not any(i < c for i in neighbor_ids) or not any(i > c for i in neighbor_ids):
         return ()
 
-    overlaps = window.overlaps
+    fill_iou = cfg.fill_iou
     position = {frames[i].meta.frame_index: i for i in neighbor_ids}
     claimed: set[tuple[int, int]] = set()
     added: list[ScoredBox] = []
     seed_order = sorted(neighbor_ids, key=lambda i: (abs(i - c), i - c))
 
     for si in seed_order:
+        seed_links = window.overlaps[si].links
         for bi, seed in enumerate(frames[si].boxes):
             if (si, bi) in claimed:
                 continue
             claimed.add((si, bi))
             # best unclaimed link above fill_iou per neighbor frame, the first
-            # on a tie
+            # on a tie; the IoU bar is tested first, as it rejects the most
             best: dict[int, tuple[float, int]] = {}
-            for f, obi, v in overlaps[si].links[bi]:
+            for f, obi, v in seed_links[bi]:
+                if v <= fill_iou:
+                    continue
                 oi = position.get(f)
-                if oi is None or v <= cfg.fill_iou or (oi, obi) in claimed:
+                if oi is None or (oi, obi) in claimed:
                     continue
                 if oi not in best or v > best[oi][0]:
                     best[oi] = (v, obi)
@@ -261,20 +262,21 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
 
             if len(members) < cfg.fill_quorum:
                 continue
-            if not any(mi < c for mi, _ in members) or not any(mi > c for mi, _ in members):
-                continue
             members.sort(key=lambda m: m[0])
+            # frames on both sides of the center
+            if not members[0][0] < c < members[-1][0]:
+                continue
             n = len(members)
             boxes = [m[1].box for m in members]
             mean_box = BoundingBox(
-                sum(b.x_min for b in boxes) / n,
-                sum(b.y_min for b in boxes) / n,
-                sum(b.x_max for b in boxes) / n,
-                sum(b.y_max for b in boxes) / n,
+                sum([b.x_min for b in boxes]) / n,
+                sum([b.y_min for b in boxes]) / n,
+                sum([b.x_max for b in boxes]) / n,
+                sum([b.y_max for b in boxes]) / n,
             )
-            if any(iou(mean_box, sb.box) > cfg.fill_iou for sb in frames[c].boxes):
+            if any(iou(mean_box, sb.box) > fill_iou for sb in frames[c].boxes):
                 continue
-            confidence = sum(m[1].confidence for m in members) / n
+            confidence = sum([m[1].confidence for m in members]) / n
             added.append(ScoredBox(mean_box, confidence, BoxOrigin.INTERPOLATED))
 
     return tuple(added)

@@ -114,7 +114,98 @@ class TestIouMatrix:
         assert matrix == [[iou(x, y) for y in b] for x in a]
 
 
+def reference_links(frames, h):
+    """Each box's links by a triple loop over scalar ``iou``: every box of
+    every other frame at most ``2*h`` positions away with IoU > 0, in frame
+    then box order, scored earlier frame first as the stream scores it."""
+    out = []
+    for k, frame in enumerate(frames):
+        per_box = []
+        for sb in frame.boxes:
+            links = []
+            for m in range(max(0, k - 2 * h), min(len(frames), k + 2 * h + 1)):
+                if m == k:
+                    continue
+                for i, other in enumerate(frames[m].boxes):
+                    v = iou(other.box, sb.box) if m < k else iou(sb.box, other.box)
+                    if v > 0.0:
+                        links.append((frames[m].meta.frame_index, i, v))
+            per_box.append(links)
+        out.append(per_box)
+    return out
+
+
+def stream_links(det_list, h):
+    """The gated frames a stream at half window ``h`` buffers, and their
+    links once every frame is pushed."""
+    c = StreamCorrelator(small_cfg(half_window=h, fc_quorum=1, fill_quorum=1))
+    gated, facts = [], []
+    for d in det_list:
+        c.push_frame(flat_frame(), d)
+        gated.append(c._buffer[-1][0])
+        facts.append(c._buffer[-1][2])
+    return gated, [f.links for f in facts]
+
+
+def assert_links_match_reference(det_list, h):
+    gated, links = stream_links(det_list, h)
+    assert links == reference_links(gated, h)
+    for f, i, v in (link for frame in links for box in frame for link in box):
+        assert (type(f), type(i), type(v)) == (int, int, float)
+
+
+@st.composite
+def linked_frames(draw):
+    """(half window, frames): up to 4 boxes per frame, a third of them below
+    the confidence gate, over up to two windows and a few frames more, with
+    gaps in the frame indices."""
+    h = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 * h + 3))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    frames = []
+    for index in np.cumsum(gaps).tolist():
+        box_conf = st.tuples(corner_box(), st.sampled_from((0.2, 0.9, 0.9)))
+        scored = draw(st.lists(box_conf, max_size=4))
+        meta = FrameMeta(W, H, index)
+        frames.append(FrameDetections(meta, tuple(ScoredBox(b, c) for b, c in scored)))
+    return h, frames
+
+
 class TestLinks:
+    @given(linked_frames())
+    @settings(max_examples=150, deadline=None)
+    def test_match_triple_loop_over_scalar_iou(self, case):
+        assert_links_match_reference(case[1], case[0])
+
+    def test_crafted_frames_match_triple_loop(self):
+        touching = [(0, 0, 10, 10), (10, 0, 20, 10), (0, 10, 10, 20)]
+        same = (4, 4, 14, 14)
+        det_list = [
+            dets(0, *touching),
+            dets(1, same, touching[0]),
+            dets(2, same, same),
+            dets(3, same, touching[1], conf=0.2),  # no gated boxes
+            dets(4, (5, 5, 15, 15), *touching),
+            *(dets(i, same, (9, 0, 19, 10)) for i in range(5, 12)),
+        ]
+        for h in (1, 2, 3):
+            gated, links = stream_links(det_list, h)
+            assert not gated[3].boxes
+            # edge-touching boxes score IoU 0 and identical ones 1
+            assert all(v != 0.0 for frame in links for box in frame for _, _, v in box)
+            assert (1, 0, 1.0) in links[2][0] and (1, 0, 1.0) in links[2][1]
+            assert_links_match_reference(det_list, h)
+
+    def test_signed_zeros_are_not_links(self, monkeypatch):
+        # disjoint and touching boxes as -0.0 in the matrix are skipped
+        def signed_zeros(a, b):
+            m = iou_matrix(a, b)
+            return np.where(m == 0.0, -0.0, m)
+
+        monkeypatch.setattr(correlator, "iou_matrix", signed_zeros)
+        det_list = [dets(i, (0, 0, 10, 10), (10, 0, 20, 10), (30, 30, 40, 40)) for i in range(6)]
+        assert_links_match_reference(det_list, 2)
+
     def test_hand_built_window_links_equal_stream_links(self):
         # a window built by hand derives its facts with the stream's own
         # _link, so they are the stream's restricted to the window's frames

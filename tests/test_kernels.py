@@ -98,6 +98,10 @@ class TestDownsampleExactness:
             # one axis kept at its size
             ((720, 576), (720, 120)),
             ((720, 576), (160, 576)),
+            # one cell for the whole frame: den = h * w, the largest a size
+            # can make
+            ((1280, 1080), (1, 1)),
+            ((719, 577), (1, 1)),
         ],
     )
     def test_matches_oracle(self, size, target):
@@ -165,6 +169,42 @@ class TestDownsampleExactness:
         g = random_gray(rng(6), 1080, 1280)
         for tw, th in ((160, 120), (10, 10)):
             assert np.array_equal(kernels.box_downsample(g, tw, th), self.block_mean(g, tw, th))
+
+
+class TestRoundHalfUp:
+    """``_round_half_up`` against ``(2 c + den) // (2 den)`` in exact integers."""
+
+    # the dtypes box_downsample hands over, and the integers each holds exactly
+    EXACT_BELOW = {np.uint16: 1 << 16, np.float32: 1 << 24, np.float64: 1 << 53, np.int64: 1 << 63}
+
+    def dtypes(self, den):
+        return [d for d, limit in self.EXACT_BELOW.items() if 255 * den < limit]
+
+    def test_every_cell_up_to_den_1024(self):
+        for den in range(1, 1025):
+            c = np.arange(255 * den + 1, dtype=np.int64)
+            want = (2 * c + den) // (2 * den)  # int64, far from overflow
+            for dtype in self.dtypes(den):
+                got = kernels._round_half_up(c.astype(dtype), den)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, want, err_msg=f"den {den} {dtype.__name__}")
+
+    def test_ties_near_each_power_of_two(self):
+        # c_k = ceil((2k - 1) den / 2) is the first cell that rounds to k, a
+        # tie when den is even; with its neighbours for k = 1..255, and the
+        # cells 0 and 255 den. 2**15 is the last den rounded in float32.
+        for p in range(1, 45):
+            for den in (2**p - 1, 2**p, 2**p + 1):
+                if den > 2**44:
+                    continue
+                cells = [0, 255 * den]
+                for k in range(1, 256):
+                    first = ((2 * k - 1) * den + 1) // 2
+                    cells += [c for c in (first - 1, first, first + 1) if c <= 255 * den]
+                want = [(2 * c + den) // (2 * den) for c in cells]
+                for dtype in self.dtypes(den):
+                    got = kernels._round_half_up(np.array(cells, dtype=dtype), den)
+                    assert got.tolist() == want, f"den {den} {dtype.__name__}"
 
 
 def test_timing_budget_at_non_divisible_size(tmp_path):
