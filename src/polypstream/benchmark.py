@@ -18,6 +18,8 @@ from .geometry import BoundingBox, BoxOrigin, FrameDetections, FrameMeta, Scored
 from .similarity import GrayFrame
 from .synthetic import _bilinear_upsample
 
+_WARMUP_FRAMES = 50
+
 
 @dataclass(frozen=True)
 class BenchResult:
@@ -65,14 +67,13 @@ def bench_correlator(
     frame_pool: list[GrayFrame],
     detections: list[FrameDetections],
     cfg: IscuConfig | None = None,
-    warmup_frames: int = 50,
 ) -> BenchResult:
     """Time push_frame/flush over the detection sequence, cycling the pool."""
     cfg = cfg or IscuConfig()
     pool_n = len(frame_pool)
 
     warm = StreamCorrelator(cfg)
-    for i in range(min(warmup_frames, len(detections))):
+    for i in range(min(_WARMUP_FRAMES, len(detections))):
         warm.push_frame(frame_pool[i % pool_n], detections[i])
     warm.flush()
 

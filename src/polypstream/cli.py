@@ -135,8 +135,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    if not args.frames or not args.detections or not args.output:
-        raise InputError("filter needs --frames, --detections and --output")
     if args.output == "-":
         # the records would mix with the summary lines on stdout
         raise InputError("filter --output must be a file, not '-' (stdout)")
@@ -276,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polypstream", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", parents=[], help="correlate detections across frames")
-    p.add_argument("--frames", help="directory of PGM/PPM frames")
-    p.add_argument("--detections", help="detection records file")
-    p.add_argument("--output", help="filtered detection records (with origin column)")
+    p = sub.add_parser("filter", help="correlate detections across frames")
+    p.add_argument("--frames", required=True, help="directory of PGM/PPM frames")
+    p.add_argument("--detections", required=True, help="detection records file")
+    p.add_argument("--output", required=True, help="filtered detection records (with origin column)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_filter)
 

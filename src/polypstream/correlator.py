@@ -26,10 +26,10 @@ data, all scored once per frame pair as the later frame arrives:
   fill IoU. Scalar ``iou`` is left only to check interpolated boxes against
   the center's detections.
 
-Links carry no threshold, so facts scored at one half window are exact for
-every narrower window around the same center and every fill IoU:
-``sweep_sequence`` runs one correlator at the widest half window and cuts
-each config's window out of it.
+A window carries the facts and each pass reads its own ``cfg.half_window``
+of it, by position from the center. Links carry no threshold, so one window
+at the widest half window serves every narrower one and every fill IoU:
+``sweep_sequence`` runs one correlator for all its configs.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .geometry import (
     FrameMeta,
     ScoredBox,
     adaptive_iou_threshold,
+    box_columns,
     iou,
     iou_matrix,
 )
@@ -93,6 +94,9 @@ class CorrelationWindow:
     center's own entry is unused. ``overlaps`` holds each frame's overlap
     facts, as the stream scored them at push time. When absent they are
     derived from ``frames`` over every pair by the stream's own ``_link``.
+    Each pass reads only the frames within ``cfg.half_window`` positions of
+    the center, so a wider window gives the result of its frames cut to
+    ``2*cfg.half_window + 1``.
     """
 
     frames: tuple[FrameDetections, ...]
@@ -151,10 +155,7 @@ class FrameOverlaps:
     def __init__(self, dets: FrameDetections) -> None:
         boxes = [sb.box for sb in dets.boxes]
         self.index = dets.meta.frame_index
-        # x_min, y_min, x_max, y_max and area, one column per box
-        self.cols = np.array(
-            [(*b.as_tuple(), b.area) for b in boxes], dtype=np.float64
-        ).reshape(-1, 5).T
+        self.cols = box_columns(boxes)
         self.thresholds = [adaptive_iou_threshold(b, dets.meta) for b in boxes]
         self.links: list[list[tuple[int, int, float]]] = [[] for _ in boxes]
 
@@ -179,14 +180,16 @@ def _link(earlier: Sequence[FrameOverlaps], new: FrameOverlaps) -> None:
 def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
     """Center boxes that survive the cross-frame noise test, in input order.
 
-    A neighbor is similar when its ``window.similarity`` entry exceeds
+    Neighbors are the frames within ``cfg.half_window`` positions of the
+    center; one is similar when its ``window.similarity`` entry exceeds
     ``cfg.similarity_threshold``.
     """
-    center = window.frames[window.center]
+    c = window.center
+    center = window.frames[c]
     neighbors = [
         (f, s)
         for i, (f, s) in enumerate(zip(window.frames, window.similarity))
-        if i != window.center
+        if 0 < abs(i - c) <= cfg.half_window
     ]
     if not neighbors:
         # Nothing to correlate against: a single-frame stream passes through.
@@ -209,7 +212,7 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
         required = lambda c: c >= quorum
 
     pool_ids = {f.meta.frame_index for f in pool}
-    facts = window.overlaps[window.center]
+    facts = window.overlaps[c]
     return tuple(
         sb
         for sb, thr, links in zip(center.boxes, facts.thresholds, facts.links)
@@ -220,7 +223,8 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
 def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBox, ...]:
     """Interpolated boxes for detections the center frame is missing.
 
-    Clusters are seeded from the nearest neighbor frames outward; each
+    Neighbors are the frames within ``cfg.half_window`` positions of the
+    center. Clusters are seeded from the nearest neighbor frames outward; each
     neighbor frame contributes at most its best-overlapping unclaimed box
     (IoU with the seed strictly above ``fill_iou``). A cluster fills only if
     it spans at least ``fill_quorum`` frames on both sides of the center and
@@ -228,7 +232,7 @@ def correct_missed(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredBo
     """
     c = window.center
     frames = window.frames
-    neighbor_ids = [i for i in range(len(frames)) if i != c]
+    neighbor_ids = [i for i in range(len(frames)) if 0 < abs(i - c) <= cfg.half_window]
     if not any(i < c for i in neighbor_ids) or not any(i > c for i in neighbor_ids):
         return ()
 
@@ -304,8 +308,6 @@ class StreamCorrelator:
         ] = deque()
         self._n_pushed = 0
         self._next_emit = 0
-        self._last_index: int | None = None
-        self._dims: tuple[int, int] | None = None
 
     def push_frame(
         self, frame: GrayFrame, dets: FrameDetections
@@ -321,27 +323,26 @@ class StreamCorrelator:
     def _push(self, frame: GrayFrame, dets: FrameDetections) -> bool:
         """Score and buffer one frame; True when the next center is due."""
         meta = dets.meta
-        # checked before scoring, so a rejected frame leaves no luma
-        if self._last_index is not None and meta.frame_index <= self._last_index:
+        # the last frame pushed is still buffered; checked before scoring,
+        # so a rejected frame leaves no luma
+        last = self._buffer[-1][0].meta if self._buffer else None
+        if last is not None and meta.frame_index <= last.frame_index:
             raise SequencingError(
-                f"frame index {meta.frame_index} not after {self._last_index}"
+                f"frame index {meta.frame_index} not after {last.frame_index}"
             )
         if (frame.width, frame.height) != (meta.width, meta.height):
             raise InputError(
                 f"frame {frame.width}x{frame.height} does not match detection "
                 f"metadata {meta.width}x{meta.height}"
             )
-        if self._dims is None:
-            self._dims = (frame.width, frame.height)
-        elif self._dims != (frame.width, frame.height):
+        if last is not None and (last.width, last.height) != (frame.width, frame.height):
             raise InputError(
-                f"frame dimensions changed mid-stream: {self._dims} -> "
+                f"frame dimensions changed mid-stream: {(last.width, last.height)} -> "
                 f"{(frame.width, frame.height)}"
             )
         luma = prepare_luma(frame, self.cfg.ssim_params)
         back = tuple(ssim(earlier, luma) for earlier in self._lumas)
         self._lumas.append(luma)
-        self._last_index = meta.frame_index
 
         gated = FrameDetections(
             meta,
@@ -355,37 +356,28 @@ class StreamCorrelator:
         self._n_pushed += 1
         return self._n_pushed - 1 >= self._next_emit + self.cfg.half_window
 
-    def _base(self) -> int:
-        return self._n_pushed - len(self._buffer)
-
     def _emit(self, cfgs: Sequence[IscuConfig]) -> list[FilteredFrame]:
-        """The next center's result at each config, whose half window ``h``
-        is at most this correlator's: the buffered window cut down to
-        ``[c - h, c + h]``, clipped at the sequence ends."""
-        center_pos = self._next_emit
-        base = self._base()
+        """The next center's result at each config. The buffer holds the
+        center's window at this correlator's half window, the widest; each
+        config's passes read their own half window of it."""
+        base = self._n_pushed - len(self._buffer)
+        c = self._next_emit - base
+        frames, backs, overlaps = zip(*self._buffer)
+        # each pair's similarity is stored with its later frame, oldest
+        # first; the center's own tuple holds exactly the c frames before it
+        similarity = (
+            backs[c] + (1.0,) + tuple(backs[k][c - k] for k in range(c + 1, len(frames)))
+        )
+        window = CorrelationWindow(frames, c, similarity, overlaps)
+        center = frames[c]
         results = []
         for cfg in cfgs:
-            h = cfg.half_window
-            lo = max(0, center_pos - h)
-            hi = min(self._n_pushed - 1, center_pos + h)
-            frames, backs, overlaps = zip(*(self._buffer[p - base] for p in range(lo, hi + 1)))
-            c = center_pos - lo
-            # each pair's similarity is stored with its later frame, oldest
-            # first; the center's own list ends with the c frames before it
-            similarity = (
-                backs[c][len(backs[c]) - c:]
-                + (1.0,)
-                + tuple(backs[k][c - k] for k in range(c + 1, len(frames)))
-            )
-            window = CorrelationWindow(frames, c, similarity, overlaps)
             kept = eliminate_noise(window, cfg)
             added = correct_missed(window, cfg)
-            center = frames[c]
             results.append(FilteredFrame(center.meta, kept, added, len(center.boxes) - len(kept)))
         self._next_emit += 1
-        keep_from = self._next_emit - self.cfg.half_window
-        while self._base() < keep_from and self._buffer:
+        # keep the H frames before the next center
+        for _ in range(self._next_emit - self.cfg.half_window - base):
             self._buffer.popleft()
         return results
 
@@ -411,10 +403,10 @@ def sweep_sequence(
 ) -> list[list[FilteredFrame]]:
     """``process_sequence`` at each config, from one pass over the frames.
 
-    One correlator runs at the widest half window and emits each center at
-    every config. The configs must share ``ssim_params`` and
-    ``confidence_gate``: the similarities, the gated boxes and their overlap
-    facts are scored once for all of them.
+    One correlator at the widest half window builds one window per center;
+    each config's passes read their own half window of it. The configs must
+    share ``ssim_params`` and ``confidence_gate``: the similarities, the
+    gated boxes and their overlap facts are scored once for all of them.
     """
     if len(frames) != len(detections):
         raise InputError(f"{len(frames)} frames but {len(detections)} detection sets")

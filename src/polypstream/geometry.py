@@ -155,10 +155,15 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_columns(boxes: list[BoundingBox]) -> np.ndarray:
+    """The ``(5, n)`` float64 columns ``iou_matrix`` reads: ``x_min``,
+    ``y_min``, ``x_max``, ``y_max`` and the area, one column per box."""
+    return np.array([(*b.as_tuple(), b.area) for b in boxes], dtype=np.float64).reshape(-1, 5).T
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every column of ``a`` with every column of ``b``, one row per
-    column of ``a``. A column holds ``x_min``, ``y_min``, ``x_max``, ``y_max``
-    and the area, as ``correlator.FrameOverlaps.cols`` does.
+    column of ``a``. The columns are laid out by ``box_columns``.
 
     Elementwise in ``iou``'s operation order: min/max, subtract, multiply,
     divide. An extent <= 0 is clamped to 0, so the IoU is 0 there too; every

@@ -48,13 +48,22 @@ def _coverage_matrix(src: int, target: int) -> np.ndarray:
 
 def naive_box_downsample(gray: np.ndarray, tw: int, th: int) -> np.ndarray:
     """Exact area average of an (h, w) uint8 image at (th, tw), rounded half
-    up, as ``Wy @ img @ Wx.T`` over dense int64 coverage matrices. Each
+    up, as ``Wy @ img @ Wx.T`` over the dense coverage matrices. Each
     output cell's sum is in units of 1/(th*tw) of a pixel and its area is
-    h*w such units."""
+    h*w such units.
+
+    The product runs in float64, where numpy uses BLAS. It is exact: every
+    term and partial sum, in either product order, is a non-negative integer
+    at most 255*h*w (about 3.5e8 at 1280x1080), far below 2**53. The sums
+    are cast back to int64 before the rounding."""
     h, w = gray.shape
     sums = np.linalg.multi_dot(
-        [_coverage_matrix(h, th), gray.astype(np.int64), _coverage_matrix(w, tw).T]
-    )
+        [
+            _coverage_matrix(h, th).astype(np.float64),
+            gray.astype(np.float64),
+            _coverage_matrix(w, tw).T.astype(np.float64),
+        ]
+    ).astype(np.int64)
     area = h * w
     return ((2 * sums + area) // (2 * area)).astype(np.uint8)
 

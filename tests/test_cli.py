@@ -102,6 +102,22 @@ class TestFilterCommand:
         assert run_cli(["filter", "--frames", "nope"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["--frames", "--detections", "--output"])
+    def test_each_missing_flag_exit_1_naming_it(self, tmp_path, capsys, missing):
+        root, _ = make_scenario_dir(tmp_path, n_frames=6)
+        out = tmp_path / "out.txt"
+        given = {
+            "--frames": str(root / "frames"),
+            "--detections": str(root / "detections.txt"),
+            "--output": str(out),
+        }
+        del given[missing]
+        assert run_cli(["filter", *(word for pair in given.items() for word in pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the following arguments are required: {missing}" in captured.err
+        assert not out.exists()
+
     def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch):
         # the output's directory is checked before any frame is decoded
         root, _ = make_scenario_dir(tmp_path, n_frames=8)

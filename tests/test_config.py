@@ -33,6 +33,10 @@ def _expected(owner, f, value):
     return IscuConfig(**{f.name: value})
 
 
+# the paths filter requires before any of its other flags are read; no
+# file is opened in these tests
+_FILTER_PATHS = ["--frames", "frames", "--detections", "dets.txt", "--output", "out.txt"]
+
 _TUNABLE_FIELDS = _tunable_fields()
 _TUNABLES = pytest.mark.parametrize(
     "key, owner, f", _TUNABLE_FIELDS, ids=[key for key, _, _ in _TUNABLE_FIELDS]
@@ -129,7 +133,7 @@ class TestSchema:
     )
     def test_removed_similarity_keys_rejected(self, tmp_path, capsys, key):
         flag = "--" + key.replace("_", "-")
-        assert cli.run_cli(["filter", flag, "8"]) == 1
+        assert cli.run_cli(["filter", *_FILTER_PATHS, flag, "8"]) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 8\n")
@@ -147,7 +151,7 @@ class TestSchema:
     def test_filter_flag_sets_field(self, key, owner, f):
         value = _non_default(f)
         flag = "--" + key.replace("_", "-")
-        args = cli.build_parser().parse_args(["filter", flag, str(value)])
+        args = cli.build_parser().parse_args(["filter", *_FILTER_PATHS, flag, str(value)])
         assert cli._run_config(args) == _expected(owner, f, value)
 
 

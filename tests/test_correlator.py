@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from polypstream.geometry import (
     FrameDetections,
     FrameMeta,
     ScoredBox,
+    box_columns,
     iou,
     iou_matrix,
 )
@@ -107,10 +109,7 @@ class TestIouMatrix:
     @given(st.lists(corner_box(), max_size=6), st.lists(corner_box(), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_scalar_iou(self, a, b):
-        cols = lambda boxes: FrameOverlaps(
-            FrameDetections(FrameMeta(30, 30, 0), tuple(ScoredBox(x, 0.9) for x in boxes))
-        ).cols
-        matrix = iou_matrix(cols(a), cols(b)).tolist()
+        matrix = iou_matrix(box_columns(a), box_columns(b)).tolist()
         assert matrix == [[iou(x, y) for y in b] for x in a]
 
 
@@ -373,6 +372,60 @@ class TestCorrectMissed:
         assert len(added) == 2
 
 
+def cut(window, h):
+    """``window`` cut down to the frames at most ``h`` positions from its
+    center, with overlap facts derived from those frames alone."""
+    lo, hi = max(0, window.center - h), window.center + h + 1
+    return CorrelationWindow(
+        window.frames[lo:hi], window.center - lo, window.similarity[lo:hi]
+    )
+
+
+@st.composite
+def wide_window(draw):
+    """A hand-built window over ``linked_frames``' frames: any center, and
+    similarities on both sides of the default gate."""
+    _, frames = draw(linked_frames())
+    n = len(frames)
+    center = draw(st.integers(0, n - 1))
+    similarity = draw(
+        st.lists(st.sampled_from((0.0, 0.5, 0.85, 0.9, 1.0)), min_size=n, max_size=n)
+    )
+    return CorrelationWindow(tuple(frames), center, tuple(similarity))
+
+
+class TestPassesReadTheirOwnHalfWindow:
+    """A window wider than ``2*half_window + 1`` gives the result of the
+    same frames cut to it, as the stream cuts them."""
+
+    def test_fixed_quorum_ignores_frames_beyond_half_window(self):
+        # fixed quorum of 2 at half window 1: the neighbors 2 and 4 hold no
+        # box, while frames 0, 1, 5 and 6 beyond them do
+        box = (10, 10, 20, 20)
+        det_list = [dets(i) if i in (2, 4) else dets(i, box) for i in range(7)]
+        window = window_of(det_list, 3, [0.0] * 7)
+        cfg = small_cfg(half_window=1, fc_quorum=2, fill_quorum=2)
+        assert eliminate_noise(window, cfg) == eliminate_noise(cut(window, 1), cfg) == ()
+
+    def test_fill_ignores_frames_beyond_half_window(self):
+        # at half window 1 the track is only in frame 4, below the fill
+        # quorum of 2; frames 0, 1, 5 and 6 would complete it
+        box = (10, 10, 20, 20)
+        det_list = [dets(i) if i in (2, 3) else dets(i, box) for i in range(7)]
+        window = window_of(det_list, 3)
+        cfg = small_cfg(half_window=1, fc_quorum=2, fill_quorum=2)
+        assert correct_missed(window, cfg) == correct_missed(cut(window, 1), cfg) == ()
+
+    @given(wide_window(), st.sampled_from((0.0, 0.2, 0.5)))
+    @settings(max_examples=150, deadline=None)
+    def test_wide_window_equals_cut(self, window, fill_iou):
+        for h in (1, 2, 3):
+            cfg = derive_sweep_config(small_cfg(fill_iou=fill_iou), h)
+            narrow = cut(window, h)
+            assert eliminate_noise(window, cfg) == eliminate_noise(narrow, cfg)
+            assert correct_missed(window, cfg) == correct_missed(narrow, cfg)
+
+
 def tiny_scenario(seed, n_frames=40, size=(W, H), **overrides):
     track = TrackSpec(
         start=BoundingBox(8.0, 8.0, 24.0, 24.0),
@@ -433,6 +486,23 @@ class TestStreaming:
         c.push_frame(flat_frame(), dets(5))
         with pytest.raises(SequencingError):
             c.push_frame(flat_frame(), dets(5))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_push_after_flush_checked_against_last_frame(self, n):
+        # the buffer keeps the frames before the next center after a flush,
+        # so the order and size checks still see the last pushed frame
+        c = StreamCorrelator(small_cfg())
+        out = [c.push_frame(flat_frame(), dets(i)) for i in range(n)]
+        assert len([r for r in out if r is not None] + c.flush()) == n
+        last = n - 1
+        with pytest.raises(SequencingError, match=f"^frame index {last} not after {last}$"):
+            c.push_frame(flat_frame(), dets(last))
+        other = GrayFrame.from_array(np.zeros((H, W + 2), dtype=np.uint8))
+        changed = f"frame dimensions changed mid-stream: {(W, H)} -> {(W + 2, H)}"
+        with pytest.raises(InputError, match=f"^{re.escape(changed)}$"):
+            c.push_frame(other, FrameDetections(FrameMeta(W + 2, H, n), ()))
+        assert c.push_frame(flat_frame(), dets(n)) is None
+        assert [r.meta.frame_index for r in c.flush()] == [n]
 
     def test_rejected_index_leaves_no_state(self):
         frames = [noise_frame(i) for i in range(8)]
@@ -633,7 +703,7 @@ class TestStreamBatchOracle:
         assert process_sequence(frames, det_list, cfg) == naive_filter_sequence(
             frames, det_list, cfg
         )
-        # every half window cut out of one pass at the widest, and a fill
+        # every half window read from one pass at the widest, and a fill
         # IoU of its own read off the same links
         cfgs = [derive_sweep_config(IscuConfig(), n) for n in (1, 2, 3, 4)]
         cfgs.append(derive_sweep_config(IscuConfig(fill_iou=0.2), 2))
