@@ -82,24 +82,16 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _load_with_context(path: str, loader, *load_args, **load_kwargs):
-    try:
-        return loader(path, *load_args, **load_kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-
-
 def _load_sequence(frames_dir: str, det_path: str):
     """A directory's frames, still to be decoded (``read_frames``), and its
     detection records parsed at the first frame's size and checked against
     the frame count."""
     frames = read_frames(frames_dir)
-    return frames, _load_with_context(
-        det_path, parse_detections, frames.width, frames.height, len(frames)
-    )
+    return frames, parse_detections(det_path, frames.width, frames.height, len(frames))
 
 
-def _print_report(report: EvalReport) -> None:
+def _report_lines(report: EvalReport) -> list[str]:
+    lines = []
     for key, value in report.to_dict().items():
         if value is None:
             text = "n/a"
@@ -109,7 +101,8 @@ def _print_report(report: EvalReport) -> None:
             text = f"{value:.4f}"
         else:
             text = str(value)
-        print(f"{key} = {text}")
+        lines.append(f"{key} = {text}")
+    return lines
 
 
 def _check_writable(path: str | None) -> None:
@@ -120,12 +113,18 @@ def _check_writable(path: str | None) -> None:
         raise InputError(f"cannot write {path}: directory {Path(path).parent} does not exist")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path == "-":
-        print(text)
-    else:
-        write_file(path, text + "\n")
+def _report(json_path: str | None, lines: list[str], payload: dict) -> None:
+    """Print a report's text lines and, when ``json_path`` is given, write
+    ``payload`` there as JSON; ``-`` prints the JSON in place of the text."""
+    if json_path != "-":
+        for line in lines:
+            print(line)
+    if json_path:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if json_path == "-":
+            print(text)
+        else:
+            write_file(json_path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +167,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     sequences = []
     for i, (det_path, gt_path) in enumerate(zip(args.detections, args.ground_truth)):
         declared = args.num_frames[i] if args.num_frames else None
-        dets = _load_with_context(det_path, parse_detections, w, h, declared)
-        gts = _load_with_context(gt_path, parse_groundtruth, declared)
+        dets = parse_detections(det_path, w, h, declared)
+        gts = parse_groundtruth(gt_path, declared)
         dets += [() for _ in range(len(dets), len(gts))]  # frames with no detections
         gts += [[] for _ in range(len(gts), len(dets))]
         sequences.append((dets, gts))
 
     report = evaluate_sequences(sequences)
-    if args.json != "-":
-        _print_report(report)
-    if args.json:
-        _write_json(args.json, report.to_dict())
+    _report(args.json, _report_lines(report), report.to_dict())
     return 0
 
 
@@ -229,13 +225,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     dets = make_bench_detections(w, h, args.synthetic_frames)
 
     result = bench_correlator(pool, dets, cfg)
-    if args.json != "-":
-        print(f"n_frames = {result.n_frames}")
-        print(f"mpt_ms = {result.mpt_ms:.4f}")
-        print(f"max_ms = {result.max_ms:.4f}")
+    lines = [
+        f"n_frames = {result.n_frames}",
+        f"mpt_ms = {result.mpt_ms:.4f}",
+        f"max_ms = {result.max_ms:.4f}",
+    ]
     payload = {"frame_size": f"{w}x{h}", "results": [dataclasses.asdict(result)]}
-    if args.json:
-        _write_json(args.json, payload)
+    _report(args.json, lines, payload)
     return 0
 
 
@@ -252,18 +248,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_writable(args.json)
 
     frames, dets = _load_sequence(args.frames, args.detections)
-    gts = _load_with_context(args.ground_truth, parse_groundtruth, len(frames))
+    gts = parse_groundtruth(args.ground_truth, len(frames))
 
     cfgs = [derive_sweep_config(base, n) for n in half_windows]
-    payload = []
+    lines, payload = [], []
     for n, results in zip(half_windows, sweep_sequence(frames, dets, cfgs)):
         report = evaluate_sequences([(results, gts)])
-        if args.json != "-":
-            print(f"[half_window = {n}]")
-            _print_report(report)
+        lines += [f"[half_window = {n}]", *_report_lines(report)]
         payload.append({"half_window": n, **report.to_dict()})
-    if args.json:
-        _write_json(args.json, {"sweep": payload})
+    _report(args.json, lines, {"sweep": payload})
     return 0
 
 

@@ -4,7 +4,8 @@ A config file holds ``key = value`` lines (``#`` comments allowed). Its
 keys are the field names of :class:`IscuConfig` (except ``ssim_params``)
 and of :class:`SsimParams` (``downsample_w``, ``downsample_h``). Each key
 has the type of its field's default, and an absent key keeps that default.
-Unknown keys are rejected.
+Unknown keys are rejected. The file is read by ``formats.read_lines``, so an
+error about a line reads ``path: line N: reason``, as in the record files.
 
 A window has ``2*half_window`` neighbours, so a quorum above that can never
 be met. A quorum that no source sets is lowered to it; one that a source
@@ -20,6 +21,7 @@ from typing import Any, Mapping
 
 from .correlator import IscuConfig
 from .errors import InputError
+from .formats import read_lines
 from .similarity import SsimParams
 
 _ISCU_FIELDS = {f.name: f for f in fields(IscuConfig) if f.name != "ssim_params"}
@@ -34,21 +36,17 @@ CONFIG_KEYS: dict[str, type] = {
 def parse_config_file(path: str | Path) -> dict[str, Any]:
     """Read a flat key=value file into a typed dict, rejecting unknown keys."""
     values: dict[str, Any] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for where, raw in read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise InputError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+            raise InputError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _coerce(key, value.strip(), f"{path}:{line_no}")
+            raise InputError(f"{where}: unknown config key {key!r}")
+        values[key] = _coerce(key, value.strip(), where)
     return values
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -195,11 +195,10 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
         # Nothing to correlate against: a single-frame stream passes through.
         return center.boxes
 
-    similar = [f for f, s in neighbors if s > cfg.similarity_threshold]
-    m = len(similar)
-    if m > 0:
-        pool = similar
-        required: Callable[[int], bool] = lambda c: 2 * c > m
+    pool = [f for f, s in neighbors if s > cfg.similarity_threshold]
+    if pool:
+        # a strict majority of the similar frames
+        quorum = len(pool) // 2 + 1
     else:
         # Fixed-frames fallback: at steady state the configured quorum, on a
         # truncated boundary window the majority of whatever is available.
@@ -209,14 +208,13 @@ def eliminate_noise(window: CorrelationWindow, cfg: IscuConfig) -> tuple[ScoredB
             if len(neighbors) == 2 * cfg.half_window
             else math.ceil(len(neighbors) / 2)
         )
-        required = lambda c: c >= quorum
 
     pool_ids = {f.meta.frame_index for f in pool}
     facts = window.overlaps[c]
     return tuple(
         sb
         for sb, thr, links in zip(center.boxes, facts.thresholds, facts.links)
-        if required(len({f for f, _, v in links if v > thr} & pool_ids))
+        if len({f for f, _, v in links if v > thr} & pool_ids) >= quorum
     )
 
 
@@ -306,8 +304,7 @@ class StreamCorrelator:
         self._buffer: deque[
             tuple[FrameDetections, tuple[float, ...], FrameOverlaps]
         ] = deque()
-        self._n_pushed = 0
-        self._next_emit = 0
+        self._center = 0  # buffer position of the next center
 
     def push_frame(
         self, frame: GrayFrame, dets: FrameDetections
@@ -316,7 +313,7 @@ class StreamCorrelator:
 
     def flush(self) -> list[FilteredFrame]:
         """Emit results for every frame still buffered (end of stream)."""
-        return [self._emit((self.cfg,))[0] for _ in range(self._next_emit, self._n_pushed)]
+        return [row[0] for row in self._drain((self.cfg,))]
 
     # internal ------------------------------------------------------------
 
@@ -353,15 +350,13 @@ class StreamCorrelator:
         overlaps = FrameOverlaps(gated)
         _link([entry[2] for entry in self._buffer], overlaps)
         self._buffer.append((gated, back, overlaps))
-        self._n_pushed += 1
-        return self._n_pushed - 1 >= self._next_emit + self.cfg.half_window
+        return len(self._buffer) - self._center > self.cfg.half_window
 
     def _emit(self, cfgs: Sequence[IscuConfig]) -> list[FilteredFrame]:
         """The next center's result at each config. The buffer holds the
         center's window at this correlator's half window, the widest; each
         config's passes read their own half window of it."""
-        base = self._n_pushed - len(self._buffer)
-        c = self._next_emit - base
+        c = self._center
         frames, backs, overlaps = zip(*self._buffer)
         # each pair's similarity is stored with its later frame, oldest
         # first; the center's own tuple holds exactly the c frames before it
@@ -375,11 +370,16 @@ class StreamCorrelator:
             kept = eliminate_noise(window, cfg)
             added = correct_missed(window, cfg)
             results.append(FilteredFrame(center.meta, kept, added, len(center.boxes) - len(kept)))
-        self._next_emit += 1
         # keep the H frames before the next center
-        for _ in range(self._next_emit - self.cfg.half_window - base):
+        if c < self.cfg.half_window:
+            self._center += 1
+        else:
             self._buffer.popleft()
         return results
+
+    def _drain(self, cfgs: Sequence[IscuConfig]) -> list[list[FilteredFrame]]:
+        """``_emit`` for every center still buffered (end of stream)."""
+        return [self._emit(cfgs) for _ in range(len(self._buffer) - self._center)]
 
 
 def process_sequence(
@@ -408,6 +408,8 @@ def sweep_sequence(
     share ``ssim_params`` and ``confidence_gate``: the similarities, the
     gated boxes and their overlap facts are scored once for all of them.
     """
+    if not cfgs:
+        raise ValueError("sweep needs at least one config")
     if len(frames) != len(detections):
         raise InputError(f"{len(frames)} frames but {len(detections)} detection sets")
     widest = max(cfgs, key=lambda c: c.half_window)
@@ -422,5 +424,5 @@ def sweep_sequence(
     for frame, dets in zip(frames, detections):
         if correlator._push(frame, dets):
             rows.append(correlator._emit(cfgs))
-    rows.extend(correlator._emit(cfgs) for _ in range(correlator._next_emit, correlator._n_pushed))
+    rows += correlator._drain(cfgs)
     return [[row[k] for row in rows] for k in range(len(cfgs))]

@@ -9,6 +9,11 @@ index), and written through one writer, ``_write_records``. Floats are
 written with 6 significant digits, which is the round-trip precision of
 these files.
 
+``read_lines`` reads every line-oriented file, config files too. An error
+about a line starts with its location, ``path: line N`` (``line N`` for an
+open stream); one about a whole file, such as text that is not UTF-8, names
+its path once.
+
 Frames are binary PGM (P5) or PPM (P6) with maxval 255, named by
 zero-padded frame index.
 """
@@ -40,20 +45,25 @@ _FRAME_FILE_RE = re.compile(r"^(\d+)\.(pgm|ppm)$", re.IGNORECASE)
 _MAX_FRAMES = 1_000_000
 
 
-def _lines(source: IO[str] | str | Path) -> Iterable[tuple[int, str]]:
+def read_lines(source: IO[str] | str | Path) -> Iterator[tuple[str, str]]:
+    """``(location, line)`` per line of a UTF-8 file (``path: line N``) or a stream (``line N``)."""
     if isinstance(source, (str, Path)):
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot read {source}: {exc}") from None
+            raise InputError(f"cannot read {source}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {source}: not UTF-8 text at byte {exc.start}") from None
+        where = f"{source}: line "
     else:
-        text = source.read()
-    yield from enumerate(text.splitlines(), start=1)
+        text, where = source.read(), "line "
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        yield f"{where}{line_no}", line
 
 
 def write_file(target: IO | str | Path, data: str | bytes) -> None:
     """Write a whole text or binary file, or to an open stream; the write
-    counterpart of ``_lines``. A path that cannot be written is an input error."""
+    counterpart of ``read_lines``. A path that cannot be written is an input error."""
     if not isinstance(target, (str, Path)):
         target.write(data)
         return
@@ -63,24 +73,24 @@ def write_file(target: IO | str | Path, data: str | bytes) -> None:
         else:
             Path(target).write_text(data, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot write {target}: {exc}") from None
+        raise InputError(f"cannot write {target}: {exc.strerror}") from None
 
 
-def _parse_float(token: str, line_no: int, what: str) -> float:
+def _parse_float(token: str, where: str, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise InputError(f"line {line_no}: {what} {token!r} is not a number") from None
+        raise InputError(f"{where}: {what} {token!r} is not a number") from None
     if not math.isfinite(value):
-        raise InputError(f"line {line_no}: {what} {token!r} is not finite")
+        raise InputError(f"{where}: {what} {token!r} is not finite")
     return value
 
 
-def _parse_int(token: str, line_no: int, what: str) -> int:
+def _parse_int(token: str, where: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise InputError(f"line {line_no}: {what} {token!r} is not an integer") from None
+        raise InputError(f"{where}: {what} {token!r} is not an integer") from None
 
 
 def _records(
@@ -88,8 +98,8 @@ def _records(
     n_frames: int | None,
     counts: tuple[int, ...],
     layout: str,
-) -> Iterator[tuple[int, int, list[str]]]:
-    """Each record line of a record file as ``(line number, frame index,
+) -> Iterator[tuple[str, int, list[str]]]:
+    """Each record line of a record file as ``(location, frame index,
     fields)``, after the checks both formats share: the declared length
     ``n_frames`` lies in ``[0, _MAX_FRAMES]``, a line holds one of ``counts``
     fields (``layout`` names them in the message), and its frame index is
@@ -98,30 +108,29 @@ def _records(
     and blank lines are skipped.
     """
     if n_frames is not None and not 0 <= n_frames <= _MAX_FRAMES:
-        raise InputError(f"declared length {n_frames} outside [0, {_MAX_FRAMES}] frames")
+        named = f"{source}: " if isinstance(source, (str, Path)) else ""
+        raise InputError(f"{named}declared length {n_frames} outside [0, {_MAX_FRAMES}] frames")
     expected = " or ".join(str(c) for c in counts)
-    for line_no, raw in _lines(source):
+    for where, raw in read_lines(source):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         fields = text.split()
         if len(fields) not in counts:
-            raise InputError(
-                f"line {line_no}: expected {expected} fields ({layout}), got {len(fields)}"
-            )
-        frame_index = _parse_int(fields[0], line_no, "frame index")
+            raise InputError(f"{where}: expected {expected} fields ({layout}), got {len(fields)}")
+        frame_index = _parse_int(fields[0], where, "frame index")
         if frame_index < 0:
-            raise InputError(f"line {line_no}: frame index must be >= 0")
+            raise InputError(f"{where}: frame index must be >= 0")
         if n_frames is not None and frame_index >= n_frames:
             raise InputError(
-                f"line {line_no}: frame index {frame_index} beyond declared length {n_frames}"
+                f"{where}: frame index {frame_index} beyond declared length {n_frames}"
             )
         if n_frames is None and frame_index >= _MAX_FRAMES:
             raise InputError(
-                f"line {line_no}: frame index {frame_index} beyond {_MAX_FRAMES} frames; "
+                f"{where}: frame index {frame_index} beyond {_MAX_FRAMES} frames; "
                 "declare the sequence length to read it"
             )
-        yield line_no, frame_index, fields
+        yield where, frame_index, fields
 
 
 def parse_detections(
@@ -139,44 +148,42 @@ def parse_detections(
     come back with empty detection lists, up to ``n_frames`` (or the highest
     index seen when not given).
     """
-    records = []  # (line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin)
+    records = []  # (where, frame_index, x_min, y_min, x_max, y_max, confidence, origin)
     layout = "frame x_min y_min x_max y_max confidence [origin]"
-    for line_no, frame_index, fields in _records(source, n_frames, (6, 7), layout):
-        x_min = _parse_float(fields[1], line_no, "x_min")
-        y_min = _parse_float(fields[2], line_no, "y_min")
-        x_max = _parse_float(fields[3], line_no, "x_max")
-        y_max = _parse_float(fields[4], line_no, "y_max")
-        confidence = _parse_float(fields[5], line_no, "confidence")
+    for where, frame_index, fields in _records(source, n_frames, (6, 7), layout):
+        x_min = _parse_float(fields[1], where, "x_min")
+        y_min = _parse_float(fields[2], where, "y_min")
+        x_max = _parse_float(fields[3], where, "x_max")
+        y_max = _parse_float(fields[4], where, "y_max")
+        confidence = _parse_float(fields[5], where, "confidence")
         if x_min >= x_max:
-            raise InputError(f"line {line_no}: x_min {x_min:g} must be < x_max {x_max:g}")
+            raise InputError(f"{where}: x_min {x_min:g} must be < x_max {x_max:g}")
         if y_min >= y_max:
-            raise InputError(f"line {line_no}: y_min {y_min:g} must be < y_max {y_max:g}")
+            raise InputError(f"{where}: y_min {y_min:g} must be < y_max {y_max:g}")
         if not (0.0 <= confidence <= 1.0):
-            raise InputError(f"line {line_no}: confidence {confidence:g} outside [0, 1]")
+            raise InputError(f"{where}: confidence {confidence:g} outside [0, 1]")
         origin = BoxOrigin.DETECTOR
         if len(fields) == 7:
             try:
                 origin = BoxOrigin(fields[6])
             except ValueError:
                 raise InputError(
-                    f"line {line_no}: origin must be 'det' or 'interp', got {fields[6]!r}"
+                    f"{where}: origin must be 'det' or 'interp', got {fields[6]!r}"
                 ) from None
-        records.append((line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin))
+        records.append((where, frame_index, x_min, y_min, x_max, y_max, confidence, origin))
 
     if width is None:
         width = max(1, math.ceil(max((r[4] for r in records), default=1)))
     if height is None:
         height = max(1, math.ceil(max((r[5] for r in records), default=1)))
     per_frame: dict[int, list[ScoredBox]] = {}
-    for line_no, frame_index, x_min, y_min, x_max, y_max, confidence, origin in records:
+    for where, frame_index, x_min, y_min, x_max, y_max, confidence, origin in records:
         try:
             clipped = clip_corners(x_min, y_min, x_max, y_max, width, height)
         except ValueError as exc:
-            raise InputError(f"line {line_no}: {exc}") from None
+            raise InputError(f"{where}: {exc}") from None
         if clipped is None:
-            raise InputError(
-                f"line {line_no}: box lies entirely outside the {width}x{height} frame"
-            )
+            raise InputError(f"{where}: box lies entirely outside the {width}x{height} frame")
         per_frame.setdefault(frame_index, []).append(ScoredBox(clipped, confidence, origin))
 
     length = n_frames if n_frames is not None else max(per_frame, default=-1) + 1
@@ -192,23 +199,22 @@ def parse_groundtruth(
 ) -> list[list[GroundTruthBox]]:
     """Parse centroid-form annotations; duplicates of (frame, polyp_id) are errors."""
     per_frame: dict[int, dict[str, GroundTruthBox]] = {}
-    for line_no, frame_index, fields in _records(
-        source, n_frames, (6,), "frame polyp_id cx cy w h"
-    ):
+    layout = "frame polyp_id cx cy w h"
+    for where, frame_index, fields in _records(source, n_frames, (6,), layout):
         polyp_id = fields[1]
-        cx = _parse_float(fields[2], line_no, "cx")
-        cy = _parse_float(fields[3], line_no, "cy")
-        bw = _parse_float(fields[4], line_no, "w")
-        bh = _parse_float(fields[5], line_no, "h")
+        cx = _parse_float(fields[2], where, "cx")
+        cy = _parse_float(fields[3], where, "cy")
+        bw = _parse_float(fields[4], where, "w")
+        bh = _parse_float(fields[5], where, "h")
         by_id = per_frame.setdefault(frame_index, {})
         if polyp_id in by_id:
             raise InputError(
-                f"line {line_no}: duplicate annotation for polyp {polyp_id!r} in frame {frame_index}"
+                f"{where}: duplicate annotation for polyp {polyp_id!r} in frame {frame_index}"
             )
         try:
             by_id[polyp_id] = GroundTruthBox(cx, cy, bw, bh, polyp_id)
         except ValueError as exc:
-            raise InputError(f"line {line_no}: {exc}") from None
+            raise InputError(f"{where}: {exc}") from None
 
     length = n_frames if n_frames is not None else max(per_frame, default=-1) + 1
     return [list(per_frame[i].values()) if i in per_frame else [] for i in range(length)]
@@ -290,7 +296,7 @@ def read_image(path: str | Path) -> GrayFrame:
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     if len(data) < 2:
         raise InputError(f"{path}: not a netpbm file")
     magic = data[:2]
@@ -402,7 +408,7 @@ def write_frames(
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InputError(f"cannot create {directory}: {exc}") from None
+        raise InputError(f"cannot create {directory}: {exc.strerror}") from None
     writer = {"pgm": write_pgm, "ppm": write_ppm_gray}.get(image_format)
     if writer is None:
         raise InputError(f"unsupported image format {image_format!r}")

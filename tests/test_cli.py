@@ -1064,12 +1064,38 @@ class TestExitCodes:
             ["eval", "--detections", str(tmp_path / "absent.txt"), "--ground-truth", str(gt)]
         )
         assert code == 1
-        assert "cannot read" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert err.count(str(tmp_path / "absent.txt")) == 1
 
     def test_missing_image_exit_1(self, tmp_path, capsys):
         code = run_cli(["ssim", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")])
         assert code == 1
-        assert "cannot read" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert err.count(str(tmp_path / "a.pgm")) == 1
+
+    @pytest.mark.parametrize("which", ["detections", "ground_truth", "config"])
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys, which):
+        root, _ = make_scenario_dir(tmp_path, seed=4, n_frames=10)
+        paths = {
+            "detections": root / "detections.txt",
+            "ground_truth": root / "groundtruth.txt",
+            "config": tmp_path / "run.cfg",
+        }
+        paths["config"].write_text("fill_iou = 0.5\n")
+        bad = paths[which]
+        head = bad.read_bytes().split(b"\n", 1)[0] + b"\n"
+        bad.write_bytes(head + b"0 \xff\n")
+        args = ["sweep", "--half-window", "1", "--frames", str(root / "frames")]
+        args += ["--detections", str(paths["detections"])]
+        args += ["--ground-truth", str(paths["ground_truth"]), "--config", str(paths["config"])]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {bad}: not UTF-8 text at byte {len(head) + 2}\n"
+        )
 
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run_cli(["defrag"]) == 1

@@ -74,6 +74,14 @@ class TestConfigFile:
         with pytest.raises(InputError, match="key = value"):
             parse_config_file(path)
 
+    def test_line_error_names_path_and_line(self, tmp_path):
+        # the record files' form: path, line number, reason
+        path = tmp_path / "run.cfg"
+        path.write_text("# operating point\nhalf_window = wide\n")
+        with pytest.raises(InputError) as info:
+            parse_config_file(path)
+        assert str(info.value) == f"{path}: line 2: half_window must be an integer, got 'wide'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             parse_config_file(tmp_path / "nope.cfg")

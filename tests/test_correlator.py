@@ -727,6 +727,10 @@ class TestSweepSequence:
         with pytest.raises(ValueError):
             sweep_sequence([flat_frame()], [dets(0)], [small_cfg(), other])
 
+    def test_needs_a_config(self):
+        with pytest.raises(ValueError, match="^sweep needs at least one config$"):
+            sweep_sequence([flat_frame()], [dets(0)], [])
+
     def test_configs_must_share_confidence_gate(self):
         # the gated boxes and their overlap facts are scored once for all
         other = small_cfg(confidence_gate=0.4)

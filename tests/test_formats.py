@@ -163,10 +163,17 @@ RECORD_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("named", [False, True], ids=["stream", "file"])
 @pytest.mark.parametrize("parse, text, kwargs, message", RECORD_ERRORS)
-def test_record_error_message(parse, text, kwargs, message):
+def test_record_error_message(parse, text, kwargs, message, named, tmp_path):
+    # a file's message is a stream's, after the file's path
+    source = io.StringIO(text)
+    if named:
+        source = tmp_path / "records.txt"
+        source.write_text(text)
+        message = f"{source}: {message}"
     with pytest.raises(InputError) as info:
-        parse(io.StringIO(text), **kwargs)
+        parse(source, **kwargs)
     assert str(info.value) == message
 
 
@@ -452,6 +459,8 @@ class TestRecordFuzz:
     )
     @example([("replace", 0.0, 0.0, "99999999999")], [])
     @example([], [("replace", 0.9, 0.0, str(10**30))])
+    # a lone surrogate is written as the byte it escapes: a file not UTF-8
+    @example([("replace", 0.0, 1.0, "\udcff")], [])
     @settings(max_examples=150, deadline=None)
     def test_exit_0_or_1(self, det_mutations, gt_mutations):
         with tempfile.TemporaryDirectory() as d:
@@ -459,8 +468,11 @@ class TestRecordFuzz:
             frames = [GrayFrame.from_array(np.full((12, 16), 9 * i, np.uint8)) for i in range(4)]
             write_frames(root / "frames", frames)
             det, gt = root / "det.txt", root / "gt.txt"
-            det.write_text(mutate_records(self.DETECTIONS, det_mutations))
-            gt.write_text(mutate_records(self.GROUND_TRUTH, gt_mutations))
+            for path, lines, mutations in (
+                (det, self.DETECTIONS, det_mutations),
+                (gt, self.GROUND_TRUTH, gt_mutations),
+            ):
+                path.write_text(mutate_records(lines, mutations), "utf-8", "surrogateescape")
             both = ["--detections", str(det), "--ground-truth", str(gt)]
             runs = [
                 ["filter", "--frames", str(root / "frames"), *both[:2], "--output", str(root / "o")],
