@@ -32,9 +32,7 @@ from .geometry import (
     GroundTruthBox,
     ScoredBox,
     adaptive_iou_threshold,
-    centroid_to_corners,
     clip_box,
-    corners_to_centroid,
     iou,
 )
 from .similarity import GrayFrame, SsimParams, prepare_luma, ssim, to_luma
@@ -73,9 +71,7 @@ __all__ = [
     "TrackSpec",
     "adaptive_iou_threshold",
     "aggregate",
-    "centroid_to_corners",
     "clip_box",
-    "corners_to_centroid",
     "correct_missed",
     "eliminate_noise",
     "evaluate_sequences",

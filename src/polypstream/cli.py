@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from .correlator import process_sequence, sweep_sequence
 from .errors import InputError
 from .evaluation import EvalReport, evaluate_sequences
 from .formats import (
+    MAX_FRAMES,
     parse_detections,
     parse_groundtruth,
     read_frames,
@@ -107,10 +110,11 @@ def _report_lines(report: EvalReport) -> list[str]:
 
 def _check_writable(path: str | None) -> None:
     """Fail before any work when `path` would be written into a directory
-    that does not exist. '-' passes: ``--json -`` writes to stdout, and
-    ``filter`` rejects it for ``--output`` itself."""
+    that does not exist, with the message ``write_file`` gives for it. '-'
+    passes: ``--json -`` writes to stdout, and ``filter`` rejects it for
+    ``--output`` itself."""
     if path and path != "-" and not Path(path).parent.is_dir():
-        raise InputError(f"cannot write {path}: directory {Path(path).parent} does not exist")
+        raise InputError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
 
 
 def _report(json_path: str | None, lines: list[str], payload: dict) -> None:
@@ -160,6 +164,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
     if args.num_frames and len(args.num_frames) != len(args.detections):
         raise InputError("--num-frames must list one value per sequence")
+    for n in args.num_frames or ():
+        if not 0 <= n <= MAX_FRAMES:
+            raise InputError(f"--num-frames {n} outside [0, {MAX_FRAMES}]")
     _check_writable(args.json)
 
     # without --frame-size each detection file sets its own frame size

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .geometry import BoundingBox, GroundTruthBox, ScoredBox, centroid_to_corners, iou
+from .geometry import BoundingBox, GroundTruthBox, ScoredBox, iou
 
 # a detection matches a ground truth only with IoU strictly above this
 IOU_CUT = 0.5
@@ -197,7 +197,8 @@ def evaluate_sequences(
     """Evaluate one or more (detections, ground-truth) sequences as a dataset.
 
     Each sequence pairs per-frame detections (FrameDetections or plain
-    ScoredBox lists) with per-frame ground-truth annotations of equal length.
+    ScoredBox lists) with per-frame ``GroundTruthBox`` lists of equal length,
+    whose corner-form boxes are matched as they are.
     Polyp identities feed the detection-rate bookkeeping; pooled confidences
     feed the precision/recall sweep.
     """
@@ -212,8 +213,7 @@ def evaluate_sequences(
             )
         for dets, gts in zip(dets_seq, gt_seq):
             boxes = tuple(getattr(dets, "boxes", dets))
-            corners = [centroid_to_corners(g) for g in gts]
-            marks, claimed = match_boxes(boxes, corners)
+            marks, claimed = match_boxes(boxes, [g.box for g in gts])
             outcomes.append(_outcome(marks, claimed, len(gts)))
             for g in gts:
                 flags.setdefault(g.polyp_id, False)

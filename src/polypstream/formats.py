@@ -2,17 +2,19 @@
 
 Detection records are whitespace-separated lines
 ``frame_index x_min y_min x_max y_max confidence [origin]``; ground-truth
-records are ``frame_index polyp_id cx cy w h`` (centroid form). ``#`` starts
-a comment. Both formats are read through one scanner, ``_records``, which
-checks what they share (the declared length, the field count and the frame
-index), and written through one writer, ``_write_records``. Floats are
+records are ``frame_index polyp_id cx cy w h`` (centroid form). The centroid
+form lives only in the file: ``parse_groundtruth`` turns each record into a
+corner-form ``BoundingBox`` and ``write_groundtruth`` turns it back. ``#``
+starts a comment. Both formats are read through one scanner, ``_records``,
+which checks what they share (the declared length, the field count and the
+frame index), and written through one writer, ``_write_records``. Floats are
 written with 6 significant digits, which is the round-trip precision of
 these files.
 
-``read_lines`` reads every line-oriented file, config files too. An error
-about a line starts with its location, ``path: line N`` (``line N`` for an
-open stream); one about a whole file, such as text that is not UTF-8, names
-its path once.
+Every reader and writer takes a path. ``read_lines`` reads every
+line-oriented file, config files too. An error about a line starts with its
+location, ``path: line N``; one about a whole file, such as text that is not
+UTF-8, names its path once.
 
 Frames are binary PGM (P5) or PPM (P6) with maxval 255, named by
 zero-padded frame index.
@@ -23,13 +25,14 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .correlator import FilteredFrame
 from .errors import InputError
 from .geometry import (
+    BoundingBox,
     BoxOrigin,
     FrameDetections,
     FrameMeta,
@@ -42,38 +45,31 @@ from .similarity import GrayFrame, to_luma
 _FRAME_FILE_RE = re.compile(r"^(\d+)\.(pgm|ppm)$", re.IGNORECASE)
 # the longest sequence a record file may describe, declared or implied by its
 # indices: 9 hours at 30 fps
-_MAX_FRAMES = 1_000_000
+MAX_FRAMES = 1_000_000
 
 
-def read_lines(source: IO[str] | str | Path) -> Iterator[tuple[str, str]]:
-    """``(location, line)`` per line of a UTF-8 file (``path: line N``) or a stream (``line N``)."""
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot read {source}: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"cannot read {source}: not UTF-8 text at byte {exc.start}") from None
-        where = f"{source}: line "
-    else:
-        text, where = source.read(), "line "
+def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """``(location, line)`` per line of a UTF-8 file, located as ``path: line N``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
-        yield f"{where}{line_no}", line
+        yield f"{path}: line {line_no}", line
 
 
-def write_file(target: IO | str | Path, data: str | bytes) -> None:
-    """Write a whole text or binary file, or to an open stream; the write
-    counterpart of ``read_lines``. A path that cannot be written is an input error."""
-    if not isinstance(target, (str, Path)):
-        target.write(data)
-        return
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Write a whole text or binary file; the write counterpart of
+    ``read_lines``. A path that cannot be written is an input error."""
     try:
         if isinstance(data, bytes):
-            Path(target).write_bytes(data)
+            Path(path).write_bytes(data)
         else:
-            Path(target).write_text(data, encoding="utf-8")
+            Path(path).write_text(data, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot write {target}: {exc.strerror}") from None
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_float(token: str, where: str, what: str) -> float:
@@ -94,24 +90,23 @@ def _parse_int(token: str, where: str, what: str) -> int:
 
 
 def _records(
-    source: IO[str] | str | Path,
+    path: str | Path,
     n_frames: int | None,
     counts: tuple[int, ...],
     layout: str,
 ) -> Iterator[tuple[str, int, list[str]]]:
     """Each record line of a record file as ``(location, frame index,
     fields)``, after the checks both formats share: the declared length
-    ``n_frames`` lies in ``[0, _MAX_FRAMES]``, a line holds one of ``counts``
+    ``n_frames`` lies in ``[0, MAX_FRAMES]``, a line holds one of ``counts``
     fields (``layout`` names them in the message), and its frame index is
-    below ``n_frames``, or below ``_MAX_FRAMES`` when no length is declared:
+    below ``n_frames``, or below ``MAX_FRAMES`` when no length is declared:
     every index up to the largest gets its own frame entry. Text after ``#``
     and blank lines are skipped.
     """
-    if n_frames is not None and not 0 <= n_frames <= _MAX_FRAMES:
-        named = f"{source}: " if isinstance(source, (str, Path)) else ""
-        raise InputError(f"{named}declared length {n_frames} outside [0, {_MAX_FRAMES}] frames")
+    if n_frames is not None and not 0 <= n_frames <= MAX_FRAMES:
+        raise InputError(f"{path}: declared length {n_frames} outside [0, {MAX_FRAMES}] frames")
     expected = " or ".join(str(c) for c in counts)
-    for where, raw in read_lines(source):
+    for where, raw in read_lines(path):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -125,16 +120,16 @@ def _records(
             raise InputError(
                 f"{where}: frame index {frame_index} beyond declared length {n_frames}"
             )
-        if n_frames is None and frame_index >= _MAX_FRAMES:
+        if n_frames is None and frame_index >= MAX_FRAMES:
             raise InputError(
-                f"{where}: frame index {frame_index} beyond {_MAX_FRAMES} frames; "
+                f"{where}: frame index {frame_index} beyond {MAX_FRAMES} frames; "
                 "declare the sequence length to read it"
             )
         yield where, frame_index, fields
 
 
 def parse_detections(
-    source: IO[str] | str | Path,
+    path: str | Path,
     width: int | None = None,
     height: int | None = None,
     n_frames: int | None = None,
@@ -150,7 +145,7 @@ def parse_detections(
     """
     records = []  # (where, frame_index, x_min, y_min, x_max, y_max, confidence, origin)
     layout = "frame x_min y_min x_max y_max confidence [origin]"
-    for where, frame_index, fields in _records(source, n_frames, (6, 7), layout):
+    for where, frame_index, fields in _records(path, n_frames, (6, 7), layout):
         x_min = _parse_float(fields[1], where, "x_min")
         y_min = _parse_float(fields[2], where, "y_min")
         x_max = _parse_float(fields[3], where, "x_max")
@@ -194,13 +189,14 @@ def parse_detections(
 
 
 def parse_groundtruth(
-    source: IO[str] | str | Path,
+    path: str | Path,
     n_frames: int | None = None,
 ) -> list[list[GroundTruthBox]]:
-    """Parse centroid-form annotations; duplicates of (frame, polyp_id) are errors."""
+    """Parse centroid-form annotations into corner-form boxes; duplicates of
+    (frame, polyp_id) are errors."""
     per_frame: dict[int, dict[str, GroundTruthBox]] = {}
     layout = "frame polyp_id cx cy w h"
-    for where, frame_index, fields in _records(source, n_frames, (6,), layout):
+    for where, frame_index, fields in _records(path, n_frames, (6,), layout):
         polyp_id = fields[1]
         cx = _parse_float(fields[2], where, "cx")
         cy = _parse_float(fields[3], where, "cy")
@@ -211,22 +207,25 @@ def parse_groundtruth(
             raise InputError(
                 f"{where}: duplicate annotation for polyp {polyp_id!r} in frame {frame_index}"
             )
+        if not (bw > 0 and bh > 0):
+            raise InputError(f"{where}: ground truth extent must be positive, got {bw}x{bh}")
         try:
-            by_id[polyp_id] = GroundTruthBox(cx, cy, bw, bh, polyp_id)
+            box = BoundingBox(cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
+        by_id[polyp_id] = GroundTruthBox(box, polyp_id)
 
     length = n_frames if n_frames is not None else max(per_frame, default=-1) + 1
     return [list(per_frame[i].values()) if i in per_frame else [] for i in range(length)]
 
 
-def _write_records(target: IO[str] | str | Path, lines: list[str]) -> None:
+def _write_records(path: str | Path, lines: list[str]) -> None:
     """Write record lines, each ended by a newline."""
-    write_file(target, "\n".join(lines) + "\n" if lines else "")
+    write_file(path, "\n".join(lines) + "\n" if lines else "")
 
 
 def write_detections(
-    target: IO[str] | str | Path,
+    path: str | Path,
     frames: Iterable[FrameDetections | FilteredFrame],
     include_origin: bool = False,
 ) -> None:
@@ -240,21 +239,21 @@ def write_detections(
                 f"{sb.confidence:.6g}"
             )
             lines.append(f"{line} {sb.origin.value}" if include_origin else line)
-    _write_records(target, lines)
+    _write_records(path, lines)
 
 
 def write_groundtruth(
-    target: IO[str] | str | Path,
+    path: str | Path,
     ground_truth: Sequence[Sequence[GroundTruthBox]],
 ) -> None:
-    _write_records(
-        target,
-        [
-            f"{i} {g.polyp_id} {g.centroid_x:.6g} {g.centroid_y:.6g} {g.width:.6g} {g.height:.6g}"
-            for i, gts in enumerate(ground_truth)
-            for g in gts
-        ],
-    )
+    """Write each corner-form annotation as a centroid-form record."""
+    lines = []
+    for i, gts in enumerate(ground_truth):
+        for g in gts:
+            b = g.box
+            cx, cy = (b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0
+            lines.append(f"{i} {g.polyp_id} {cx:.6g} {cy:.6g} {b.width:.6g} {b.height:.6g}")
+    _write_records(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Coordinates are real-valued pixels with the origin at the top-left corner.
 Box area uses the closed-interval convention (width = x_max - x_min); there
-is no +1 pixel adjustment.
+is no +1 pixel adjustment. Every box in memory, ground truth included, is in
+corner form; the ground-truth file's centroid form is read and written only
+by ``formats``.
 """
 
 from __future__ import annotations
@@ -106,41 +108,10 @@ class FrameDetections:
 
 @dataclass(frozen=True)
 class GroundTruthBox:
-    """Centroid-form annotation carrying a polyp identity."""
+    """An annotated box carrying a polyp identity."""
 
-    centroid_x: float
-    centroid_y: float
-    width: float
-    height: float
+    box: BoundingBox
     polyp_id: str
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"ground truth extent must be positive, got {self.width}x{self.height}")
-        # Corner form must be a valid box; this also rejects centroids that
-        # would put a corner at a negative coordinate.
-        centroid_to_corners(self)
-
-
-def centroid_to_corners(g: GroundTruthBox) -> BoundingBox:
-    """Convert a centroid-form annotation to corner form."""
-    return BoundingBox(
-        g.centroid_x - g.width / 2.0,
-        g.centroid_y - g.height / 2.0,
-        g.centroid_x + g.width / 2.0,
-        g.centroid_y + g.height / 2.0,
-    )
-
-
-def corners_to_centroid(box: BoundingBox, polyp_id: str = "") -> GroundTruthBox:
-    """Inverse of :func:`centroid_to_corners`."""
-    return GroundTruthBox(
-        (box.x_min + box.x_max) / 2.0,
-        (box.y_min + box.y_max) / 2.0,
-        box.width,
-        box.height,
-        polyp_id,
-    )
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -3,9 +3,10 @@
 Frames are a smooth low-frequency background (bilinear-upsampled coarse
 grid with a slow per-cell wobble) plus one bright disc per polyp track, so
 neighboring frames are highly similar except across scene breaks, where the
-background is re-randomized. Ground truth and a simulated detector output
-(coordinate jitter, confidence noise, transient false positives, dropouts)
-are generated alongside.
+background is re-randomized. Ground truth (each track's box clipped to the
+frame, kept in corner form) and a simulated detector output (coordinate
+jitter, confidence noise, transient false positives, dropouts) are generated
+alongside.
 
 All randomness flows from numpy's PCG64 generator seeded from the config:
 ``default_rng([rng_seed, 0])`` drives rendering and
@@ -29,9 +30,7 @@ from .geometry import (
     FrameMeta,
     GroundTruthBox,
     ScoredBox,
-    centroid_to_corners,
     clip_box,
-    corners_to_centroid,
 )
 from .similarity import GrayFrame
 
@@ -186,7 +185,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         for ti, track in enumerate(cfg.tracks):
             box = clip_box(track.box_at(t), cfg.frame_w, cfg.frame_h)
             _render_disc(img, box)
-            gts.append(corners_to_centroid(box, f"p{ti}"))
+            gts.append(GroundTruthBox(box, f"p{ti}"))
         frames.append(GrayFrame.from_array(np.clip(np.rint(img), 0, 255).astype(np.uint8)))
         ground_truth.append(tuple(gts))
 
@@ -274,9 +273,6 @@ def simulate_detector(
     jx = cfg.coord_jitter_frac * w
     jy = cfg.coord_jitter_frac * h
     spawn_rate = cfg.transient_fp_rate / cfg.fp_lifetime
-    gt_corners: list[list[BoundingBox]] = [
-        [centroid_to_corners(g) for g in gts] for gts in ground_truth
-    ]
 
     n_tracks = max((len(gts) for gts in ground_truth), default=0)
     missing = [_schedule_dropouts(rng, n, cfg) for _ in range(n_tracks)]
@@ -289,7 +285,7 @@ def simulate_detector(
         for gi, g in enumerate(ground_truth[t]):
             if t in missing[gi]:
                 continue
-            base = centroid_to_corners(g)
+            base = g.box
             d = rng.uniform(-1.0, 1.0, size=4)
             jittered = clip_box(
                 BoundingBox(
@@ -315,9 +311,9 @@ def simulate_detector(
                 y0 = rng.uniform(0.0, h - bh)
                 cand = BoundingBox(x0, y0, x0 + bw, y0 + bh)
                 clear = all(
-                    _boxes_disjoint(cand, gb)
+                    _boxes_disjoint(cand, g.box)
                     for ft in range(lo_t, hi_t + 1)
-                    for gb in gt_corners[ft]
+                    for g in ground_truth[ft]
                 ) and all(
                     _boxes_disjoint(cand, sb)
                     for s0, s1, sb, _ in scheduled

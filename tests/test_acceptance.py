@@ -28,7 +28,6 @@ from polypstream.geometry import (
     GroundTruthBox,
     ScoredBox,
     adaptive_iou_threshold,
-    centroid_to_corners,
     iou,
 )
 from polypstream.similarity import GrayFrame, prepare_luma, ssim
@@ -252,12 +251,11 @@ def test_criterion_4_transience_elimination():
         for t in range(20):
             for dt in range(1, 4):
                 for a, b in zip(gts[t], gts[t + dt]):
-                    ca, cb = centroid_to_corners(a), centroid_to_corners(b)
-                    assert iou(ca, cb) > adaptive_iou_threshold(ca, meta)
+                    assert iou(a.box, b.box) > adaptive_iou_threshold(a.box, meta)
 
         results = process_sequence(frames, dets, cfg)
         for res, det, gt in zip(results, dets, gts):
-            gt_boxes = [centroid_to_corners(g) for g in gt]
+            gt_boxes = [g.box for g in gt]
             tps = tuple(
                 b
                 for b in det.boxes
@@ -325,7 +323,7 @@ def test_criterion_5_gap_fill():
                     sum(b.x_max for b in members) / n,
                     sum(b.y_max for b in members) / n,
                 )
-                gt_box = centroid_to_corners(sc.ground_truth[drop_at][0])
+                gt_box = sc.ground_truth[drop_at][0].box
                 if len(res.added) != 1:
                     ok = False
                 else:
@@ -428,16 +426,11 @@ def test_criterion_9_pdr_mnfp_bookkeeping():
             for k in range(3):
                 pid = f"s{s}:p{k}"
                 cx, cy = 80.0 + 140 * k, 100.0 + 30 * s + 2 * t
-                frame_gts.append(GroundTruthBox(cx, cy, 50, 40, pid))
+                box = BoundingBox(cx - 25, cy - 20, cx + 25, cy + 20)
+                frame_gts.append(GroundTruthBox(box, pid))
                 undetected = s == 2 and k == 1
                 if not undetected and t % 2 == 0:
-                    frame_dets.append(
-                        ScoredBox(
-                            BoundingBox(cx - 25, cy - 20, cx + 25, cy + 20),
-                            0.9,
-                            BoxOrigin.DETECTOR,
-                        )
-                    )
+                    frame_dets.append(ScoredBox(box, 0.9, BoxOrigin.DETECTOR))
             if t == 3:  # one deliberate false positive per sequence
                 frame_dets.append(
                     ScoredBox(BoundingBox(500, 400, 560, 450), 0.7, BoxOrigin.DETECTOR)

@@ -378,7 +378,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("length", ["99999999999", "1000001", "-1"])
     def test_declared_length_out_of_range_exit_1(self, tmp_path, capsys, length):
-        # every declared frame gets an entry, so 10**11 would take hours
+        # every declared frame gets an entry, so 10**11 would take hours; the
+        # flag's value is refused before any file is read, naming the flag
         det, gt = self._write_pair(tmp_path, ["0 10 10 30 30 0.9\n"], ["0 p1 20 20 20 20\n"])
         args = ["eval", "--detections", str(det), "--ground-truth", str(gt)]
         t0 = time.perf_counter()
@@ -386,7 +387,7 @@ class TestEvalCommand:
         assert time.perf_counter() - t0 < 1.0
         assert code == 1
         err = capsys.readouterr().err
-        assert f"det.txt: declared length {length} outside [0, 1000000] frames" in err
+        assert err == f"error: --num-frames {length} outside [0, 1000000]\n"
 
     def test_record_wholly_left_of_frame_exit_1(self, tmp_path, capsys):
         det, gt = self._write_pair(
@@ -966,6 +967,29 @@ class TestFilterOutputDash:
         assert captured.out == ""
         assert "--output" in captured.err
         assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "eval", "bench", "sweep"])
+def test_unwritable_target_names_path_once(tmp_path, capsys, command):
+    # a target in a missing directory gets write_file's message, which names
+    # the path once and its directory nowhere else
+    root, _ = make_scenario_dir(tmp_path, n_frames=6)
+    out = tmp_path / "nodir" / "o.txt"
+    frames = ["--frames", str(root / "frames")]
+    dets = ["--detections", str(root / "detections.txt")]
+    gts = ["--ground-truth", str(root / "groundtruth.txt")]
+    args = {
+        "filter": ["filter", *frames, *dets, "--output", str(out)],
+        "eval": ["eval", *dets, *gts, "--json", str(out)],
+        "bench": ["bench", "--synthetic-frames", "2", "--frame-size", "32x32", "--json", str(out)],
+        "sweep": ["sweep", "--half-window", "1", *frames, *dets, *gts, "--json", str(out)],
+    }[command]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.err.count(str(out.parent)) == 1
+    assert not out.parent.exists()
 
 
 CONFIG_FLAGS = {

@@ -17,8 +17,8 @@ from polypstream.geometry import (
     BoxOrigin,
     FrameDetections,
     FrameMeta,
+    GroundTruthBox,
     ScoredBox,
-    corners_to_centroid,
     iou,
 )
 
@@ -36,7 +36,7 @@ def bb(x0, y0, x1, y1):
 def frame_counts(dets, gts):
     """(tp, fp, fn, tn) of one frame of corner-form ground truth, evaluated
     as a one-frame sequence."""
-    annotations = [corners_to_centroid(g, f"p{j}") for j, g in enumerate(gts)]
+    annotations = [GroundTruthBox(g, f"p{j}") for j, g in enumerate(gts)]
     rep = evaluate_sequences([([dets], [annotations])])
     return rep.tp, rep.fp, rep.fn, rep.tn
 
@@ -157,7 +157,7 @@ class TestAggregate:
 
 def report_map(dets, gts):
     """``EvalReport.map`` of one sequence with corner-form ground truth."""
-    annotations = [[corners_to_centroid(g, f"p{i}") for i, g in enumerate(f)] for f in gts]
+    annotations = [[GroundTruthBox(g, f"p{i}") for i, g in enumerate(f)] for f in gts]
     return evaluate_sequences([(dets, annotations)]).map
 
 
@@ -278,8 +278,8 @@ class TestEvaluateSequences:
         return dets, gts
 
     def test_pdr_and_counts(self):
-        gt_a = corners_to_centroid(bb(10, 10, 30, 30), "a")
-        gt_b = corners_to_centroid(bb(60, 60, 90, 90), "b")
+        gt_a = GroundTruthBox(bb(10, 10, 30, 30), "a")
+        gt_b = GroundTruthBox(bb(60, 60, 90, 90), "b")
         seq = self._seq(
             [
                 ([sb(10, 10, 30, 30, 0.9)], [gt_a]),
@@ -295,7 +295,7 @@ class TestEvaluateSequences:
         assert rep.n_negative_frames == 1
 
     def test_frame_order_invariance(self):
-        gt = corners_to_centroid(bb(10, 10, 30, 30), "a")
+        gt = GroundTruthBox(bb(10, 10, 30, 30), "a")
         frames = [
             ([sb(10, 10, 30, 30, 0.9)], [gt]),
             ([sb(50, 50, 70, 70, 0.4)], []),
@@ -313,7 +313,7 @@ class TestEvaluateSequences:
 
     def test_each_frame_matched_once(self, monkeypatch):
         # the precision/recall pool reuses the counting pass's marks
-        gt = corners_to_centroid(bb(10, 10, 30, 30), "a")
+        gt = GroundTruthBox(bb(10, 10, 30, 30), "a")
         frames = [
             ([sb(10, 10, 30, 30, 0.9), sb(12, 12, 30, 30, 0.7)], [gt]),
             ([sb(50, 50, 70, 70, 0.4)], []),

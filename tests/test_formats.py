@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polypstream.cli import run_cli
 from polypstream.errors import InputError
@@ -32,9 +32,16 @@ from polypstream.geometry import (
 from polypstream.similarity import GrayFrame
 
 
+def records_file(directory: str | Path, text: str) -> Path:
+    """``text`` written as the record file ``records.txt`` under ``directory``."""
+    path = Path(directory) / "records.txt"
+    path.write_text(text)
+    return path
+
+
 class TestParseDetections:
-    def test_basic_record(self):
-        out = parse_detections(io.StringIO("0 10 10 20 20 0.9\n"), 100, 100)
+    def test_basic_record(self, tmp_path):
+        out = parse_detections(records_file(tmp_path, "0 10 10 20 20 0.9\n"), 100, 100)
         assert len(out) == 1
         assert len(out[0].boxes) == 1
         box = out[0].boxes[0]
@@ -42,70 +49,91 @@ class TestParseDetections:
         assert box.confidence == 0.9
         assert box.origin is BoxOrigin.DETECTOR
 
-    def test_empty_file_gives_empty_frames(self):
-        out = parse_detections(io.StringIO(""), 100, 100, n_frames=4)
+    def test_empty_file_gives_empty_frames(self, tmp_path):
+        out = parse_detections(records_file(tmp_path, ""), 100, 100, n_frames=4)
         assert len(out) == 4
         assert all(len(d.boxes) == 0 for d in out)
 
-    def test_inverted_x_rejected_with_line(self):
+    def test_inverted_x_rejected_with_line(self, tmp_path):
         with pytest.raises(InputError, match="line 1"):
-            parse_detections(io.StringIO("3 20 10 10 20 0.5\n"), 100, 100)
+            parse_detections(records_file(tmp_path, "3 20 10 10 20 0.5\n"), 100, 100)
 
-    def test_line_number_in_later_error(self):
+    def test_line_number_in_later_error(self, tmp_path):
         text = "0 1 1 2 2 0.5\n\n# comment\n2 5 5 4 9 0.5\n"
         with pytest.raises(InputError, match="line 4"):
-            parse_detections(io.StringIO(text), 100, 100)
+            parse_detections(records_file(tmp_path, text), 100, 100)
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(InputError, match="not finite"):
-            parse_detections(io.StringIO("0 1 1 inf 2 0.5\n"), 100, 100)
+            parse_detections(records_file(tmp_path, "0 1 1 inf 2 0.5\n"), 100, 100)
 
-    def test_bad_confidence_rejected(self):
+    def test_bad_confidence_rejected(self, tmp_path):
         with pytest.raises(InputError, match="confidence"):
-            parse_detections(io.StringIO("0 1 1 2 2 1.5\n"), 100, 100)
+            parse_detections(records_file(tmp_path, "0 1 1 2 2 1.5\n"), 100, 100)
 
-    def test_clipping_applied(self):
-        out = parse_detections(io.StringIO("0 -5 -5 20 20 0.9\n"), 10, 10)
+    def test_clipping_applied(self, tmp_path):
+        out = parse_detections(records_file(tmp_path, "0 -5 -5 20 20 0.9\n"), 10, 10)
         assert out[0].boxes[0].box.as_tuple() == (0, 0, 10, 10)
 
-    def test_fully_outside_rejected(self):
+    def test_fully_outside_rejected(self, tmp_path):
         with pytest.raises(InputError, match="outside"):
-            parse_detections(io.StringIO("0 50 50 60 60 0.9\n"), 10, 10)
+            parse_detections(records_file(tmp_path, "0 50 50 60 60 0.9\n"), 10, 10)
 
-    def test_origin_column_round_trip(self):
-        out = parse_detections(io.StringIO("0 1 1 2 2 0.5 interp\n"), 10, 10)
+    def test_origin_column_round_trip(self, tmp_path):
+        out = parse_detections(records_file(tmp_path, "0 1 1 2 2 0.5 interp\n"), 10, 10)
         assert out[0].boxes[0].origin is BoxOrigin.INTERPOLATED
         with pytest.raises(InputError, match="origin"):
-            parse_detections(io.StringIO("0 1 1 2 2 0.5 maybe\n"), 10, 10)
+            parse_detections(records_file(tmp_path, "0 1 1 2 2 0.5 maybe\n"), 10, 10)
 
-    def test_index_beyond_declared_length(self):
+    def test_index_beyond_declared_length(self, tmp_path):
         with pytest.raises(InputError, match="beyond"):
-            parse_detections(io.StringIO("7 1 1 2 2 0.5\n"), 10, 10, n_frames=5)
+            parse_detections(records_file(tmp_path, "7 1 1 2 2 0.5\n"), 10, 10, n_frames=5)
 
-    def test_missing_frames_empty(self):
-        out = parse_detections(io.StringIO("2 1 1 2 2 0.5\n"), 10, 10)
+    def test_missing_frames_empty(self, tmp_path):
+        out = parse_detections(records_file(tmp_path, "2 1 1 2 2 0.5\n"), 10, 10)
         assert [len(d.boxes) for d in out] == [0, 0, 1]
 
 
 class TestParseGroundtruth:
-    def test_centroid_conversion(self):
-        out = parse_groundtruth(io.StringIO("5 p1 50 50 20 10\n"))
+    def test_centroid_conversion(self, tmp_path):
+        out = parse_groundtruth(records_file(tmp_path, "5 p1 50 50 20 10\n"))
         assert len(out) == 6
         g = out[5][0]
-        assert (g.centroid_x, g.centroid_y, g.width, g.height) == (50, 50, 20, 10)
+        assert g.box.as_tuple() == (40, 45, 60, 55)
         assert g.polyp_id == "p1"
 
-    def test_duplicate_rejected(self):
+    def test_corner_at_origin(self, tmp_path):
+        out = parse_groundtruth(records_file(tmp_path, "0 p1 10 10 20 20\n"))
+        assert out[0][0].box.as_tuple() == (0, 0, 20, 20)
+
+    @given(
+        st.floats(0.0, 2000.0),
+        st.floats(0.0, 2000.0),
+        st.floats(0.01, 2000.0),
+        st.floats(0.01, 2000.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_box_is_centroid_arithmetic(self, cx, cy, w, h):
+        # a record's corners are the centroid arithmetic on its values, bit for bit
+        tokens = [f"{v:.6g}" for v in (cx, cy, w, h)]
+        cx, cy, w, h = (float(t) for t in tokens)
+        assume(cx - w / 2.0 >= 0 and cy - h / 2.0 >= 0)
+        with tempfile.TemporaryDirectory() as d:
+            out = parse_groundtruth(records_file(d, f"0 p1 {' '.join(tokens)}\n"))
+        expected = BoundingBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        assert out[0][0].box == expected
+
+    def test_duplicate_rejected(self, tmp_path):
         text = "5 p1 50 50 20 10\n5 p1 60 60 20 10\n"
         with pytest.raises(InputError, match="duplicate"):
-            parse_groundtruth(io.StringIO(text))
+            parse_groundtruth(records_file(tmp_path, text))
 
-    def test_zero_width_rejected(self):
+    def test_zero_width_rejected(self, tmp_path):
         with pytest.raises(InputError, match="line 1"):
-            parse_groundtruth(io.StringIO("5 p1 50 50 0 10\n"))
+            parse_groundtruth(records_file(tmp_path, "5 p1 50 50 0 10\n"))
 
-    def test_same_polyp_distinct_frames_ok(self):
-        out = parse_groundtruth(io.StringIO("0 p1 50 50 20 10\n1 p1 51 50 20 10\n"))
+    def test_same_polyp_distinct_frames_ok(self, tmp_path):
+        out = parse_groundtruth(records_file(tmp_path, "0 p1 50 50 20 10\n1 p1 51 50 20 10\n"))
         assert len(out[0]) == 1 and len(out[1]) == 1
 
 
@@ -163,22 +191,17 @@ RECORD_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("named", [False, True], ids=["stream", "file"])
 @pytest.mark.parametrize("parse, text, kwargs, message", RECORD_ERRORS)
-def test_record_error_message(parse, text, kwargs, message, named, tmp_path):
-    # a file's message is a stream's, after the file's path
-    source = io.StringIO(text)
-    if named:
-        source = tmp_path / "records.txt"
-        source.write_text(text)
-        message = f"{source}: {message}"
+def test_record_error_message(parse, text, kwargs, message, tmp_path):
+    # every message starts with the file's path
+    path = records_file(tmp_path, text)
     with pytest.raises(InputError) as info:
-        parse(source, **kwargs)
-    assert str(info.value) == message
+        parse(path, **kwargs)
+    assert str(info.value) == f"{path}: {message}"
 
 
 class TestRoundTrip:
-    def test_detections_round_trip(self):
+    def test_detections_round_trip(self, tmp_path):
         meta = FrameMeta(320, 240, 0)
         frames = [
             FrameDetections(
@@ -189,16 +212,18 @@ class TestRoundTrip:
                 ),
             )
         ]
-        buf = io.StringIO()
-        write_detections(buf, frames, include_origin=True)
-        parsed = parse_detections(io.StringIO(buf.getvalue()), 320, 240)
+        path = tmp_path / "det.txt"
+        write_detections(path, frames, include_origin=True)
+        parsed = parse_detections(path, 320, 240)
         assert parsed[0].boxes == frames[0].boxes
 
-    def test_groundtruth_round_trip(self):
-        gts = [[GroundTruthBox(50.25, 60.5, 20.125, 10.75, "p1")], []]
-        buf = io.StringIO()
-        write_groundtruth(buf, gts)
-        parsed = parse_groundtruth(io.StringIO(buf.getvalue()), n_frames=2)
+    def test_groundtruth_round_trip(self, tmp_path):
+        # dyadic corners whose centroid form is exact in 6 significant digits
+        gts = [[GroundTruthBox(BoundingBox(40.1875, 55.125, 60.3125, 65.875), "p1")], []]
+        path = tmp_path / "gt.txt"
+        write_groundtruth(path, gts)
+        assert path.read_text() == "0 p1 50.25 60.5 20.125 10.75\n"
+        parsed = parse_groundtruth(path, n_frames=2)
         assert parsed[0] == gts[0]
         assert parsed[1] == []
 

@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from polypstream.geometry import (
     BoundingBox,
     FrameMeta,
-    GroundTruthBox,
     ScoredBox,
     adaptive_iou_threshold,
-    centroid_to_corners,
     clip_box,
-    corners_to_centroid,
     iou,
 )
 
@@ -98,31 +95,6 @@ class TestIou:
             return BoundingBox(bx.x_min * s, bx.y_min * s, bx.x_max * s, bx.y_max * s)
 
         assert iou(scale(a), scale(b)) == pytest.approx(iou(a, b), abs=1e-9)
-
-
-class TestCentroidConversion:
-    def test_definition(self):
-        g = GroundTruthBox(50, 50, 20, 10, "p1")
-        assert centroid_to_corners(g).as_tuple() == (40, 45, 60, 55)
-
-    def test_corner_at_origin(self):
-        g = GroundTruthBox(10, 10, 20, 20, "p1")
-        assert centroid_to_corners(g).as_tuple() == (0, 0, 20, 20)
-
-    @given(boxes())
-    def test_round_trip(self, b):
-        g = corners_to_centroid(b, "x")
-        back = centroid_to_corners(g)
-        assert back.x_min == pytest.approx(b.x_min, abs=1e-9)
-        assert back.y_min == pytest.approx(b.y_min, abs=1e-9)
-        assert back.x_max == pytest.approx(b.x_max, abs=1e-9)
-        assert back.y_max == pytest.approx(b.y_max, abs=1e-9)
-
-    def test_invalid_extent(self):
-        with pytest.raises(ValueError):
-            GroundTruthBox(50, 50, 0, 10, "p1")
-        with pytest.raises(ValueError):
-            GroundTruthBox(5, 50, 20, 10, "p1")  # corner would go negative
 
 
 class TestAdaptiveThreshold:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polypstream.errors import InputError
-from polypstream.geometry import BoundingBox, centroid_to_corners, iou
+from polypstream.geometry import BoundingBox, iou
 from polypstream.similarity import SsimParams, prepare_luma, ssim
 from polypstream.synthetic import (
     ConfidenceModel,
@@ -91,7 +91,7 @@ class TestDetectorSimulation:
         for dets, gts in zip(sc.raw_detections, sc.ground_truth):
             assert len(dets.boxes) == len(gts)
             for d, g in zip(dets.boxes, gts):
-                assert d.box == centroid_to_corners(g)
+                assert d.box == g.box
 
     def test_dropout_count_near_rate(self):
         stayer = TrackSpec(
@@ -133,7 +133,7 @@ class TestDetectorSimulation:
         spans = {}
         for t, dets in enumerate(sc.raw_detections):
             for b in dets.boxes:
-                if b.box != centroid_to_corners(sc.ground_truth[t][0]):
+                if b.box != sc.ground_truth[t][0].box:
                     key = b.box.as_tuple()
                     spans.setdefault(key, []).append(t)
         assert spans, "expected some transients at rate 0.2"
@@ -144,9 +144,7 @@ class TestDetectorSimulation:
     def test_fps_disjoint_from_ground_truth_nearby(self):
         cfg = base_config(n_frames=200, transient_fp_rate=0.5)
         sc = generate_scenario(cfg)
-        gt_boxes = [
-            [centroid_to_corners(g) for g in gts] for gts in sc.ground_truth
-        ]
+        gt_boxes = [[g.box for g in gts] for gts in sc.ground_truth]
         for t, dets in enumerate(sc.raw_detections):
             for b in dets.boxes[1:]:  # track box is first
                 for dt in range(-3, 4):
@@ -158,7 +156,7 @@ class TestDetectorSimulation:
         cfg = base_config(coord_jitter_frac=0.02, n_frames=100)
         sc = generate_scenario(cfg)
         for dets, gts in zip(sc.raw_detections, sc.ground_truth):
-            g = centroid_to_corners(gts[0])
+            g = gts[0].box
             d = dets.boxes[0].box
             assert abs(d.x_min - g.x_min) <= 0.02 * 320 + 1e-9
             assert abs(d.y_max - g.y_max) <= 0.02 * 240 + 1e-9
@@ -191,9 +189,9 @@ class TestRendering:
 
     def test_disc_brightens_track_region(self):
         sc = generate_scenario(base_config(n_frames=5))
-        g = sc.ground_truth[0][0]
+        b = sc.ground_truth[0][0].box
         frame = sc.frames[0].samples
-        cx, cy = int(g.centroid_x), int(g.centroid_y)
+        cx, cy = int((b.x_min + b.x_max) / 2.0), int((b.y_min + b.y_max) / 2.0)
         assert frame[cy, cx] >= 200
 
     def test_polyp_ids_stable(self):
@@ -238,7 +236,7 @@ class TestEpisodeScheduling:
         # means some box touches the annotation
         missing = 0
         for dets, gts in zip(sc.raw_detections, sc.ground_truth):
-            g = centroid_to_corners(gts[0])
+            g = gts[0].box
             if not any(iou(b.box, g) > 0 for b in dets.boxes):
                 missing += 1
         assert missing == pytest.approx(0.05 * cfg.n_frames, rel=0.05)
