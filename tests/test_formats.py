@@ -191,10 +191,11 @@ RECORD_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("path_type", [str, Path], ids=["str", "path"])
 @pytest.mark.parametrize("parse, text, kwargs, message", RECORD_ERRORS)
-def test_record_error_message(parse, text, kwargs, message, tmp_path):
-    # every message starts with the file's path
-    path = records_file(tmp_path, text)
+def test_record_error_message(parse, text, kwargs, message, path_type, tmp_path):
+    # every message starts with the file's path, given as a str or a Path
+    path = path_type(records_file(tmp_path, text))
     with pytest.raises(InputError) as info:
         parse(path, **kwargs)
     assert str(info.value) == f"{path}: {message}"
