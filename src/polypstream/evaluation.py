@@ -5,18 +5,34 @@ IoU strictly above ``IOU_CUT`` (0.5, fixed) and that ground truth has not
 already been claimed by a higher-confidence detection. Extra detections on
 an already-claimed ground truth count neither as TP nor FP. True negatives
 are frame-level: a polyp-free frame with no output at all.
+
+``evaluate_sequences`` scores each sequence ``BLOCK_FRAMES`` frames at a
+time: one IoU pass over every detection x ground-truth pair of the block,
+then the greedy claims over only the pairs above the cut. ``match_boxes`` is
+the same matcher on one frame. Average precision is integrated from the
+pooled confidences and marks as arrays. The results are those of matching
+frame by frame, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError
-from .geometry import BoundingBox, GroundTruthBox, ScoredBox, iou
+from .geometry import BoundingBox, GroundTruthBox, ScoredBox, box_columns, iou_pairs
 
 # a detection matches a ground truth only with IoU strictly above this
 IOU_CUT = 0.5
+# frames matched in one IoU pass; small, so the pair arrays stay small
+BLOCK_FRAMES = 32
+# a detection's mark: a false positive, a true positive, or a duplicate on
+# an already claimed ground truth (neither)
+FP, TP, DUP = 0, 1, 2
+_MARK_NAMES = ("fp", "tp", "dup")
 # the EvalReport fields that hold a percentage
 _PERCENT_FIELDS = frozenset({"sen", "pre", "spe", "f1", "f2", "pdr"})
 
@@ -67,46 +83,60 @@ class EvalReport:
         }
 
 
+def _match_block(
+    dets: Sequence[Sequence[ScoredBox]], gts: Sequence[Sequence[BoundingBox]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy assignment in each frame of a block of frames.
+
+    In each frame, detections are processed in descending confidence (ties
+    by input order); each claims the unclaimed ground truth of highest IoU
+    above ``IOU_CUT``, the first listed on a tie. Returns the confidence and
+    mark (``FP``, ``TP`` or ``DUP``) of every detection and a claimed flag
+    for every ground truth, frame by frame in input order.
+    """
+    flat = list(chain.from_iterable(dets))
+    flat_gts = list(chain.from_iterable(gts))
+    conf = np.array([sb.confidence for sb in flat], dtype=np.float64)
+    # bytearrays index fast in the claim loop and view as arrays for free
+    marks = bytearray(len(flat))
+    claimed = bytearray(len(flat_gts))
+    # every detection against every ground truth of its own frame: pair p
+    # of detection i is ground truth first_gt[i] + p - first_pair[i]
+    n_dets = np.fromiter(map(len, dets), np.intp, len(dets))
+    n_gts = np.fromiter(map(len, gts), np.intp, len(gts))
+    per_det = np.repeat(n_gts, n_dets)
+    first_pair = np.cumsum(per_det) - per_det
+    first_gt = np.repeat(np.cumsum(n_gts) - n_gts, n_dets)
+    det_idx = np.repeat(np.arange(len(flat)), per_det)
+    gt_idx = np.arange(len(det_idx)) + np.repeat(first_gt - first_pair, per_det)
+    values = iou_pairs(
+        box_columns([sb.box for sb in flat])[:, det_idx],
+        box_columns(flat_gts)[:, gt_idx],
+    )
+    above = values > IOU_CUT
+    det_idx, gt_idx, values = det_idx[above], gt_idx[above], values[above]
+    # ground truths of different frames never compete, so the frames may
+    # interleave; each detection's candidates come best first
+    order = np.lexsort((gt_idx, -values, det_idx, -conf[det_idx]))
+    for i, j in zip(det_idx[order].tolist(), gt_idx[order].tolist()):
+        if marks[i] == TP:
+            continue
+        if claimed[j]:
+            marks[i] = DUP
+        else:
+            claimed[j] = True
+            marks[i] = TP
+    return conf, np.frombuffer(marks, dtype=np.int8), np.frombuffer(claimed, dtype=bool)
+
+
 def match_boxes(
     dets: Sequence[ScoredBox], gts: Sequence[BoundingBox]
 ) -> tuple[list[str], list[int]]:
-    """Greedy per-frame assignment.
-
-    Detections are processed in descending confidence (ties by input order);
-    each picks the unclaimed ground truth with the highest IoU above
-    ``IOU_CUT``. Returns per-detection marks ('tp', 'fp', or 'dup' for extra
-    detections on a claimed ground truth) aligned with the input, plus
-    claimed gt indices.
-    """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    marks = ["fp"] * len(dets)
-    claimed: set[int] = set()
-    for i in order:
-        box = dets[i].box
-        candidates = [(iou(box, g), j) for j, g in enumerate(gts)]
-        candidates = [(v, j) for v, j in candidates if v > IOU_CUT]
-        if not candidates:
-            continue
-        free = [(v, j) for v, j in candidates if j not in claimed]
-        if free:
-            _, j = max(free, key=lambda t: (t[0], -t[1]))
-            claimed.add(j)
-            marks[i] = "tp"
-        else:
-            marks[i] = "dup"
-    return marks, sorted(claimed)
-
-
-def _outcome(marks: list[str], claimed: list[int], n_gts: int) -> FrameOutcome:
-    """One frame's polyp-level TP/FP/FN counts from the marks and claimed
-    list of ``match_boxes``; TN flags an all-empty frame."""
-    tp = len(claimed)
-    return FrameOutcome(
-        tp=tp,
-        fp=marks.count("fp"),
-        fn=n_gts - tp,
-        tn=1 if not n_gts and not marks else 0,
-    )
+    """The block matcher on one frame. Returns per-detection marks ('tp',
+    'fp', or 'dup' for extra detections on a claimed ground truth) aligned
+    with the input, plus the claimed gt indices."""
+    _, marks, claimed = _match_block([dets], [gts])
+    return [_MARK_NAMES[m] for m in marks.tolist()], np.flatnonzero(claimed).tolist()
 
 
 def aggregate(
@@ -114,15 +144,22 @@ def aggregate(
 ) -> EvalReport:
     """Fold per-frame outcomes into the metric suite."""
     outcomes = list(outcomes)
-    if not outcomes:
-        raise InputError("at least one frame outcome is required")
-    tp = sum(o.tp for o in outcomes)
-    fp = sum(o.fp for o in outcomes)
-    fn = sum(o.fn for o in outcomes)
-    tn = sum(o.tn for o in outcomes)
     if n_negative_frames is None:
         n_negative_frames = sum(1 for o in outcomes if o.tp + o.fn == 0)
+    return _report(
+        sum(o.tp for o in outcomes),
+        sum(o.fp for o in outcomes),
+        sum(o.fn for o in outcomes),
+        sum(o.tn for o in outcomes),
+        len(outcomes),
+        n_negative_frames,
+    )
 
+
+def _report(tp: int, fp: int, fn: int, tn: int, n_frames: int, n_negative_frames: int) -> EvalReport:
+    """The metric suite of dataset-wide counts over ``n_frames`` frames."""
+    if not n_frames:
+        raise InputError("at least one frame outcome is required")
     sen = 100.0 * tp / (tp + fn) if tp + fn > 0 else None
     pre = 100.0 * tp / (tp + fp) if tp + fp > 0 else None
     spe = 100.0 * tn / n_negative_frames if n_negative_frames > 0 else None
@@ -135,52 +172,41 @@ def aggregate(
         fp=fp,
         fn=fn,
         tn=tn,
-        n_frames=len(outcomes),
+        n_frames=n_frames,
         n_negative_frames=n_negative_frames,
         sen=sen,
         pre=pre,
         spe=spe,
         f1=f1,
         f2=f2,
-        mnfp=fp / len(outcomes),
+        mnfp=fp / n_frames,
     )
 
 
-def _pr_points(pool: list[tuple[float, str]], total_gt: int) -> list[tuple[float, float]]:
-    """The (recall, precision) staircase of pooled (confidence, mark) pairs,
-    one point per distinct confidence; sorts `pool`."""
-    pool.sort(key=lambda t: -t[0])
-    points: list[tuple[float, float]] = []
-    tp = fp = 0
-    for idx, (conf, mark) in enumerate(pool):
-        if mark == "tp":
-            tp += 1
-        elif mark == "fp":
-            fp += 1
-        at_boundary = idx == len(pool) - 1 or pool[idx + 1][0] < conf
-        if at_boundary and tp + fp > 0:
-            points.append((tp / total_gt, tp / (tp + fp)))
-    return points
+def _pr_points(
+    conf: np.ndarray, marks: np.ndarray, total_gt: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (recall, precision) staircase of pooled confidences and marks,
+    one point per distinct confidence once a TP or FP has been seen."""
+    order = np.argsort(-conf, kind="stable")
+    conf, marks = conf[order], marks[order]
+    tp = np.cumsum(marks == TP)
+    seen = tp + np.cumsum(marks == FP)
+    at_boundary = np.append(conf[1:] < conf[:-1], True) & (seen > 0)
+    tp, seen = tp[at_boundary], seen[at_boundary]
+    return tp / total_gt, tp / seen
 
 
-def _staircase_area(points: list[tuple[float, float]]) -> float:
+def _staircase_area(recall: np.ndarray, precision: np.ndarray) -> float:
     """Area under the (recall, precision) staircase (all-points
     interpolation): precision is replaced by its monotone non-increasing
-    envelope before integrating over recall."""
-    if not points:
+    envelope before integrating over recall. The area is summed in order,
+    as ``cumsum`` does; a pairwise ``np.sum`` would round differently."""
+    if not len(recall):
         return 0.0
-    envelope: list[tuple[float, float]] = []
-    best = 0.0
-    for recall, precision in reversed(points):
-        best = max(best, precision)
-        envelope.append((recall, best))
-    envelope.reverse()
-    ap = 0.0
-    prev_recall = 0.0
-    for recall, precision in envelope:
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    steps = np.diff(recall, prepend=0.0) * envelope
+    return float(np.cumsum(steps)[-1])
 
 
 def pdr(detected_by_polyp: Mapping[str, bool]) -> float:
@@ -198,32 +224,40 @@ def evaluate_sequences(
 
     Each sequence pairs per-frame detections (FrameDetections or plain
     ScoredBox lists) with per-frame ``GroundTruthBox`` lists of equal length,
-    whose corner-form boxes are matched as they are.
-    Polyp identities feed the detection-rate bookkeeping; pooled confidences
-    feed the precision/recall sweep.
+    whose corner-form boxes are matched as they are, ``BLOCK_FRAMES`` frames
+    at a time. Polyp identities feed the detection-rate bookkeeping; pooled
+    confidences feed the precision/recall sweep.
     """
-    outcomes: list[FrameOutcome] = []
-    flags: dict[str, bool] = {}
-    pool: list[tuple[float, str]] = []
+    tp = fp = n_gts = tn = n_frames = n_negative = 0
+    polyps: set[str] = set()
+    detected: set[str] = set()
+    confs: list[np.ndarray] = []
+    marks: list[np.ndarray] = []
 
     for dets_seq, gt_seq in sequences:
         if len(dets_seq) != len(gt_seq):
             raise InputError(
                 f"sequence has {len(dets_seq)} detection frames but {len(gt_seq)} ground-truth frames"
             )
-        for dets, gts in zip(dets_seq, gt_seq):
-            boxes = tuple(getattr(dets, "boxes", dets))
-            marks, claimed = match_boxes(boxes, [g.box for g in gts])
-            outcomes.append(_outcome(marks, claimed, len(gts)))
-            for g in gts:
-                flags.setdefault(g.polyp_id, False)
-            for j in claimed:
-                flags[gts[j].polyp_id] = True
-            pool.extend((d.confidence, m) for d, m in zip(boxes, marks))
+        for start in range(0, len(dets_seq), BLOCK_FRAMES):
+            dets = [tuple(getattr(d, "boxes", d)) for d in dets_seq[start : start + BLOCK_FRAMES]]
+            gts = gt_seq[start : start + BLOCK_FRAMES]
+            conf, block_marks, claimed = _match_block(dets, [[g.box for g in f] for f in gts])
+            confs.append(conf)
+            marks.append(block_marks)
+            tp += int(np.count_nonzero(block_marks == TP))
+            fp += int(np.count_nonzero(block_marks == FP))
+            n_gts += len(claimed)
+            n_frames += len(dets)
+            n_negative += sum(1 for f in gts if not f)
+            tn += sum(1 for d, f in zip(dets, gts) if not d and not f)
+            ids = [g.polyp_id for f in gts for g in f]
+            polyps.update(ids)
+            detected.update(compress(ids, claimed.tolist()))
 
-    report = aggregate(outcomes)
-    if flags:
-        # flags is non-empty only when some frame has ground truth
-        report.pdr = pdr(flags)
-        report.map = _staircase_area(_pr_points(pool, report.tp + report.fn))
+    report = _report(tp, fp, n_gts - tp, tn, n_frames, n_negative)
+    if polyps:
+        # polyps is non-empty only when some frame has ground truth
+        report.pdr = pdr({p: p in detected for p in polyps})
+        report.map = _staircase_area(*_pr_points(np.concatenate(confs), np.concatenate(marks), n_gts))
     return report

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -126,22 +128,28 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+_CORNERS = attrgetter("x_min", "y_min", "x_max", "y_max")
+
+
 def box_columns(boxes: list[BoundingBox]) -> np.ndarray:
-    """The ``(5, n)`` float64 columns ``iou_matrix`` reads: ``x_min``,
-    ``y_min``, ``x_max``, ``y_max`` and the area, one column per box."""
-    return np.array([(*b.as_tuple(), b.area) for b in boxes], dtype=np.float64).reshape(-1, 5).T
+    """The ``(5, n)`` float64 columns ``iou_pairs`` reads: ``x_min``,
+    ``y_min``, ``x_max``, ``y_max`` and the area, one column per box. The
+    area is ``BoundingBox.area``'s ``(x_max - x_min) * (y_max - y_min)``."""
+    cols = np.empty((5, len(boxes)))
+    corners = chain.from_iterable(map(_CORNERS, boxes))
+    cols[:4] = np.fromiter(corners, np.float64, 4 * len(boxes)).reshape(-1, 4).T
+    np.multiply(cols[2] - cols[0], cols[3] - cols[1], out=cols[4])
+    return cols
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every column of ``a`` with every column of ``b``, one row per
-    column of ``a``. The columns are laid out by ``box_columns``.
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each column of ``a`` with the column of ``b`` it broadcasts
+    against. The columns are laid out by ``box_columns``.
 
     Elementwise in ``iou``'s operation order: min/max, subtract, multiply,
     divide. An extent <= 0 is clamped to 0, so the IoU is 0 there too; every
     value equals ``iou``'s bit for bit (a zero may carry a sign).
     """
-    a = a[:, :, None]
-    b = b[:, None, :]
     extent = np.minimum(a[2:4], b[2:4])
     extent -= np.maximum(a[:2], b[:2])
     np.maximum(extent, 0.0, out=extent)
@@ -150,6 +158,12 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union -= inter
     inter /= union
     return inter
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every column of ``a`` with every column of ``b``, one row per
+    column of ``a``: ``iou_pairs`` broadcast over both."""
+    return iou_pairs(a[:, :, None], b[:, None, :])
 
 
 def adaptive_iou_threshold(box: BoundingBox, meta: FrameMeta) -> float:

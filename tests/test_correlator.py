@@ -29,6 +29,7 @@ from polypstream.geometry import (
     box_columns,
     iou,
     iou_matrix,
+    iou_pairs,
 )
 from polypstream.similarity import GrayFrame, SsimParams, ssim
 from polypstream.synthetic import (
@@ -111,6 +112,11 @@ class TestIouMatrix:
     def test_bit_identical_to_scalar_iou(self, a, b):
         matrix = iou_matrix(box_columns(a), box_columns(b)).tolist()
         assert matrix == [[iou(x, y) for y in b] for x in a]
+        # the paired form over aligned columns, as the evaluator calls it
+        aligned = [b[i % len(b)] for i in range(len(a))]
+        pairs = iou_pairs(box_columns(a), box_columns(aligned)).tolist()
+        assert pairs == [iou(x, y) for x, y in zip(a, aligned)]
+        assert box_columns(a)[4].tolist() == [x.area for x in a]
 
 
 def reference_links(frames, h):

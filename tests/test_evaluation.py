@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,7 @@ from polypstream.geometry import (
     iou,
 )
 
-from oracles import naive_average_precision
+from oracles import _naive_match, naive_average_precision
 
 
 def sb(x0, y0, x1, y1, conf=0.9):
@@ -187,25 +189,32 @@ class TestAveragePrecision:
     def test_pr_points_monotone_recall(self):
         r = np.random.default_rng(1)
         confidences = r.random(60).round(1)
-        marks = r.choice(["tp", "fp", "dup"], 60)
-        pool = [(float(c), str(m)) for c, m in zip(confidences, marks)]
-        points = evaluation._pr_points(pool, 60)
-        recalls = [recall for recall, _ in points]
+        marks = r.choice([evaluation.TP, evaluation.FP, evaluation.DUP], 60)
+        recall, precision = evaluation._pr_points(confidences, marks, 60)
+        recalls = recall.tolist()
         assert recalls == sorted(recalls)
         # one point per distinct confidence once a tp or fp has been seen
-        assert len(points) <= len({c for c, _ in pool})
+        assert len(recalls) == len(precision) <= len(set(confidences.tolist()))
 
-    @given(st.integers(0, 10_000).map(lambda seed: _random_dataset(np.random.default_rng(seed), 5)))
-    @settings(max_examples=30, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 10_000), st.integers(1, 8)).map(
+            lambda t: _random_dataset(np.random.default_rng(t[0]), t[1])
+        ),
+        st.integers(2, 3),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=60, deadline=None)
     # IoU exactly at the 0.5 cut: no match
-    @example(([[sb(0, 0, 10, 5, 0.9)]], [[bb(0, 0, 10, 10)]]))
+    @example(([[sb(0, 0, 10, 5, 0.9)]], [[bb(0, 0, 10, 10)]]), 2, 0)
     # a duplicate on a claimed ground truth, then a TP: the duplicate is
     # neither TP nor FP
     @example(
         (
             [[sb(0, 0, 10, 10, 0.9), sb(0, 0, 10, 9, 0.8), sb(80, 80, 90, 90, 0.6)]],
             [[bb(0, 0, 10, 10), bb(80, 80, 90, 90)]],
-        )
+        ),
+        2,
+        0,
     )
     # two ground truths tie at IoU 0.8 for the first detection, which claims
     # the first listed; the second detection overlaps only that one
@@ -213,15 +222,48 @@ class TestAveragePrecision:
         (
             [[sb(0, 0, 10, 10, 0.9), sb(0, 0, 10, 7, 0.8)]],
             [[bb(0, 0, 10, 8), bb(0, 2, 10, 10)]],
-        )
+        ),
+        3,
+        1,
     )
-    def test_matches_per_threshold_oracle(self, dataset):
+    # the first detection claims the better of two free ground truths, the
+    # second listed, which is the only one the second detection overlaps
+    @example(
+        (
+            [[sb(0, 0, 10, 10, 0.9), sb(0, 4, 10, 14, 0.8)]],
+            [[bb(2, 0, 12, 10), bb(0, 1, 10, 11)]],
+        ),
+        2,
+        1,
+    )
+    # frames with no detections and frames with no ground truth, on both
+    # sides of a block boundary
+    @example(
+        (
+            [[], [sb(0, 0, 10, 10, 0.7)], [], [sb(20, 20, 30, 30, 0.9)], [], [sb(0, 0, 10, 10, 0.7)]],
+            [[bb(0, 0, 10, 10)], [], [], [bb(20, 20, 30, 30)], [bb(40, 40, 50, 50)], []],
+        ),
+        2,
+        3,
+    )
+    def test_matches_per_threshold_oracle(self, dataset, block, split):
+        # blocks of 2-3 frames, so that sequences cross block boundaries,
+        # and the dataset cut into two sequences at `split`
         dets, gts = dataset
-        if sum(len(g) for g in gts) == 0:
-            return
-        got = report_map(dets, gts)
-        want = naive_average_precision(dets, gts)
-        assert got == pytest.approx(want, abs=1e-12)
+        annotations = [[GroundTruthBox(g, f"p{i}") for i, g in enumerate(f)] for f in gts]
+        with mock.patch.object(evaluation, "BLOCK_FRAMES", block):
+            rep = evaluate_sequences(
+                [(dets[:split], annotations[:split]), (dets[split:], annotations[split:])]
+            )
+        per_frame = [_naive_match(d, g, IOU_CUT) for d, g in zip(dets, gts)]
+        tp = sum(t for t, _ in per_frame)
+        n_gts = sum(len(g) for g in gts)
+        assert (rep.tp, rep.fp, rep.fn) == (tp, sum(f for _, f in per_frame), n_gts - tp)
+        assert rep.tn == sum(1 for d, g in zip(dets, gts) if not d and not g)
+        if n_gts == 0:
+            assert rep.map is None
+        else:
+            assert rep.map == naive_average_precision(dets, gts)
 
 
 def _random_dataset(r, n_frames):
@@ -319,16 +361,17 @@ class TestEvaluateSequences:
             ([sb(50, 50, 70, 70, 0.4)], []),
             ([sb(11, 11, 31, 31, 0.6)], [gt]),
         ]
-        calls = []
-        real = evaluation.match_boxes
+        matched = []
+        real = evaluation._match_block
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(dets, gts):
+            matched.extend(dets)
+            return real(dets, gts)
 
-        monkeypatch.setattr(evaluation, "match_boxes", counted)
+        monkeypatch.setattr(evaluation, "_match_block", counted)
+        monkeypatch.setattr(evaluation, "BLOCK_FRAMES", 2)
         rep = evaluate_sequences([self._seq(frames)])
-        assert len(calls) == len(frames)
+        assert matched == [tuple(d) for d, _ in frames]
         monkeypatch.undo()
         dets = [d for d, _ in frames]
         gts = [[bb(10, 10, 30, 30)] if g else [] for _, g in frames]
